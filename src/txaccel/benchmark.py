@@ -7,7 +7,6 @@ same position.  Invalid accelerator outputs are losses and are also
 tallied separately so closure-guard frequency stays visible.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,12 +68,11 @@ def _score_sequence(seq: Sequence, methods, orders):
 
 
 def run_benchmark(sequences, methods, orders, bins: int = 10,
-                  metadata: dict = None, threads: int = 1) -> BenchmarkReport:
+                  metadata: dict = None) -> BenchmarkReport:
     """Score every method on every (sequence, order) pair.
 
     The success grid uses ``bins`` equal-width scattering-ratio bins over
-    [0, 1].  Sequences may be scored in parallel; aggregation follows the
-    input order, so the report is deterministic for any thread count.
+    [0, 1].
     """
     sequences = list(sequences)
     methods = list(methods)
@@ -90,14 +88,8 @@ def run_benchmark(sequences, methods, orders, bins: int = 10,
         for acc in methods
     }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(
-                lambda seq: _score_sequence(seq, methods, orders), sequences))
-    else:
-        scored = [_score_sequence(seq, methods, orders) for seq in sequences]
-
-    for seq, per_method in zip(sequences, scored):
+    for seq in sequences:
+        per_method = _score_sequence(seq, methods, orders)
         bin_idx = _c_bin(seq.c, bins)
         for name, (success, invalid) in per_method.items():
             entry = stats[name]

@@ -5,7 +5,8 @@ Every command writes a plain-text manifest next to its outputs recording
 the resolved configuration, seed, paths, version, and wall-clock time.
 With identical flags and seed the primary outputs are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure
+(its diagnostics follow on stderr as sorted key=value pairs).
 """
 
 import argparse
@@ -86,7 +87,7 @@ def cmd_generate(args):
         widths=tuple(args.widths),
         orders=tuple(range(args.n_min, args.n_max + 1, args.n_step)),
     )
-    sequences = generate_grid(config, rng_seed=seed, threads=args.threads)
+    sequences = generate_grid(config, rng_seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(out, sequences, dataset_metadata(config, seed, __version__))
@@ -94,7 +95,7 @@ def cmd_generate(args):
         "out": out, "seed": seed, "c_min": args.c_min, "c_max": args.c_max,
         "c_count": args.c_count, "widths": ",".join(f"{w:g}" for w in args.widths),
         "n_min": args.n_min, "n_max": args.n_max, "n_step": args.n_step,
-        "threads": args.threads, "sequences": len(sequences),
+        "sequences": len(sequences),
     }, time.perf_counter() - started)
     print(f"wrote {len(sequences)} sequences x {len(config.orders)} orders "
           f"to {out}")
@@ -129,7 +130,7 @@ def cmd_evolve(args):
         "elite": args.elite, "tourn": args.tourn, "depth": args.depth,
         "target": args.target, "split": args.split,
         "positions": ",".join(str(n) for n in args.positions),
-        "threads": args.threads, "train_sequences": len(training),
+        "train_sequences": len(training),
         "validation_sequences": len(validation),
     }, time.perf_counter() - started)
     print(f"best formula after {report.generations} generations: "
@@ -171,7 +172,6 @@ def cmd_evaluate(args):
         metadata={"dataset": str(args.data), "window_policy": "trailing-4",
                   "wynn_column": 2, "artifact_version": __version__,
                   **metadata},
-        threads=args.threads,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,7 +183,6 @@ def cmd_evaluate(args):
         "data": args.data, "out": out, "formula": args.formula or "builtin",
         "methods": args.methods, "bins": args.bins,
         "positions": ",".join(str(n) for n in args.positions),
-        "threads": args.threads,
     }, time.perf_counter() - started)
     print(summary, end="")
     print(f"outputs in {out}")
@@ -214,7 +213,6 @@ def build_parser():
     gen.add_argument("--n-min", type=int, default=4)
     gen.add_argument("--n-max", type=int, default=52)
     gen.add_argument("--n-step", type=int, default=4)
-    gen.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     gen.set_defaults(func=cmd_generate)
 
     evo = sub.add_parser("evolve", formatter_class=fmt,
@@ -232,7 +230,6 @@ def build_parser():
     evo.add_argument("--positions", type=_int_list, default=[20, 28, 36, 44, 52])
     evo.add_argument("--seed", type=int, default=None)
     evo.add_argument("--out", required=True, help="output directory")
-    evo.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     evo.set_defaults(func=cmd_evolve)
 
     ev = sub.add_parser("evaluate", formatter_class=fmt,
@@ -244,7 +241,6 @@ def build_parser():
     ev.add_argument("--positions", type=_int_list, default=[20, 28, 36, 44, 52])
     ev.add_argument("--bins", type=int, default=10)
     ev.add_argument("--out", required=True, help="output directory")
-    ev.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     ev.set_defaults(func=cmd_evaluate)
     return parser
 
@@ -258,6 +254,9 @@ def main(argv=None):
         return EXIT_USAGE
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        print("diagnostics: " + " ".join(
+            f"{key}={exc.diagnostics[key]}" for key in sorted(exc.diagnostics)),
+            file=sys.stderr)
         return EXIT_NUMERICAL
     except (FileNotFoundError, FormulaSyntaxError, InsufficientHistoryError,
             OSError) as exc:

@@ -11,8 +11,9 @@ in one call.  Two backends implement identical IEEE semantics:
 Both reproduce trees.eval_formula bit for bit, so the recursive scalar
 evaluator stays the reference semantics and this module is purely the
 fast path.  Select a backend with the TXACCEL_BACKEND environment
-variable (``auto``, ``numba``, or ``numpy``); ``benchmarks/bench_backends.py``
-times one against the other.
+variable (``auto``, ``numba``, or ``numpy``).  The per-window cost of the
+default backend is the ``kernels.ns_per_window`` metric of
+``perfbench/run.py --workload evolve-fixed --trace 1``.
 """
 
 import os

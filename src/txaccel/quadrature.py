@@ -5,9 +5,13 @@ weights integrate polynomials up to degree 2N-1 exactly.  Roots are found
 by Newton iteration on the Legendre polynomial P_N starting from the
 asymptotic guess cos(pi*(m - 1/4)/(N + 1/2)); weights come from the closed
 form w = 2 / ((1 - x^2) * P_N'(x)^2).
+
+Each order is computed once per process and cached; the returned arrays
+are read-only because every caller shares them.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,15 +51,22 @@ def gauss_legendre(order: int) -> QuadratureSet:
     """Compute the Gauss-Legendre rule of the given even order.
 
     Raises InvalidArgumentError for odd orders or orders outside
-    [2, 64].  Deterministic; no randomness involved.
+    [2, 64].  Deterministic; no randomness involved.  The result is
+    cached per order and its arrays are read-only.
     """
+    # Validate before the cache lookup: 4.0 == 4 and both hash alike, so
+    # a cache keyed on the argument could serve 4.0 the rule cached for 4.
     if not isinstance(order, (int, np.integer)):
         raise InvalidArgumentError(f"order must be an integer, got {order!r}")
     if order % 2 != 0 or not (MIN_ORDER <= order <= MAX_ORDER):
         raise InvalidArgumentError(
             f"order must be even and in [{MIN_ORDER}, {MAX_ORDER}], got {order}"
         )
+    return _gauss_legendre(int(order))
 
+
+@lru_cache(maxsize=None)  # at most (MAX_ORDER - MIN_ORDER) / 2 + 1 entries
+def _gauss_legendre(order: int) -> QuadratureSet:
     # Positive half only; the other half is the exact mirror, which keeps
     # the symmetry invariants exact in floating point.
     half = order // 2
@@ -77,4 +88,6 @@ def gauss_legendre(order: int) -> QuadratureSet:
     wpos = w[::-1]
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureSet(order=order, nodes=nodes, weights=weights)

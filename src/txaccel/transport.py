@@ -17,10 +17,15 @@ Q / (sigma_t (1 - c)).
 Growing eigenmodes are anchored at the far face (their coefficients
 multiply exp(lambda (x - L))) so every exponential stays <= 1 in
 magnitude regardless of slab thickness.
+
+The eigenmodes depend only on (N, sigma_t, c), not on the slab width, so
+they are computed once per c and shared by every width of that c; the
+boundary system, its conditioning check and the symmetry check stay per
+solve.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +46,10 @@ MAX_BOUNDARY_CONDITION = 1e12
 
 _EIG_TOL = 1e-10
 _SYMMETRY_TOL = 1e-10
+
+#: Eigenmode sets kept for reuse.  Grids are solved c-major, so this holds
+#: every order of one c with room to spare.
+_EIGENMODE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -80,39 +89,59 @@ class SnSolution:
     center_scalar_flux: float
 
 
+@lru_cache(maxsize=_EIGENMODE_CACHE_SIZE)
+def _eigenmodes(order: int, sigma_t: float, c: float):
+    """Quadrature nodes and weights and the real eigenvalues and
+    eigenvectors of the angle-discretized system matrix, all read-only.
+
+    They do not depend on the slab width, so every width of one
+    (order, sigma_t, c) shares one eigen-solve.  Raises
+    NumericalFailureError (with order and c, but no width) on complex or
+    unpaired eigenvalues; a raised error is not cached.
+    """
+    quad = gauss_legendre(order)
+    mu, w = quad.nodes, quad.weights
+    sigma_s = c * sigma_t
+
+    m_matrix = (-sigma_t * np.eye(order) + 0.5 * sigma_s * np.outer(
+        np.ones(order), w)) / mu[:, None]
+    eigvals, eigvecs = np.linalg.eig(m_matrix)
+
+    imag_residual = float(np.max(np.abs(np.imag(eigvals))))
+    if imag_residual > _EIG_TOL:
+        raise NumericalFailureError(
+            f"complex eigenvalues (imaginary residual {imag_residual:.3e})",
+            {"imag_residual": imag_residual, "order": order, "c": c},
+        )
+    lam = np.real(eigvals)
+    vecs = np.real(eigvecs)
+
+    # Symmetric quadrature makes the spectrum come in +- pairs.
+    lam_sorted = np.sort(lam)
+    pairing = float(np.max(np.abs(lam_sorted + lam_sorted[::-1])))
+    if pairing > _EIG_TOL * max(1.0, float(np.max(np.abs(lam)))):
+        raise NumericalFailureError(
+            f"eigenvalues not paired +- (residual {pairing:.3e})",
+            {"pairing_residual": pairing, "order": order, "c": c},
+        )
+    lam.flags.writeable = False
+    vecs.flags.writeable = False
+    return mu, w, lam, vecs
+
+
 class _ModalSolution:
     """Eigen-expansion of one solve, able to evaluate phi anywhere."""
 
     def __init__(self, problem: SlabProblem, order: int):
-        quad = gauss_legendre(order)
-        mu, w = quad.nodes, quad.weights
         sigma_t = problem.sigma_t
         sigma_s = problem.scattering_ratio * sigma_t
         length = problem.width / sigma_t  # width given in mean free paths
-
-        m_matrix = (-sigma_t * np.eye(order) + 0.5 * sigma_s * np.outer(
-            np.ones(order), w)) / mu[:, None]
-        eigvals, eigvecs = np.linalg.eig(m_matrix)
-
-        imag_residual = float(np.max(np.abs(np.imag(eigvals))))
-        if imag_residual > _EIG_TOL:
+        try:
+            mu, w, lam, vecs = _eigenmodes(order, float(sigma_t),
+                                           float(problem.scattering_ratio))
+        except NumericalFailureError as exc:
             raise NumericalFailureError(
-                f"complex eigenvalues (imaginary residual {imag_residual:.3e})",
-                {"imag_residual": imag_residual, "order": order,
-                 "c": problem.scattering_ratio, "width": problem.width},
-            )
-        lam = np.real(eigvals)
-        vecs = np.real(eigvecs)
-
-        # Symmetric quadrature makes the spectrum come in +- pairs.
-        lam_sorted = np.sort(lam)
-        pairing = float(np.max(np.abs(lam_sorted + lam_sorted[::-1])))
-        if pairing > _EIG_TOL * max(1.0, float(np.max(np.abs(lam)))):
-            raise NumericalFailureError(
-                f"eigenvalues not paired +- (residual {pairing:.3e})",
-                {"pairing_residual": pairing, "order": order,
-                 "c": problem.scattering_ratio, "width": problem.width},
-            )
+                str(exc), dict(exc.diagnostics, width=problem.width)) from exc
 
         psi_particular = 0.5 * problem.source / (sigma_t - sigma_s)
 
@@ -263,32 +292,24 @@ class DatasetConfig:
         return self.c_count * len(self.widths)
 
 
-def generate_grid(config: DatasetConfig, rng_seed: int = 0,
-                  threads: int = 1) -> list:
+def generate_grid(config: DatasetConfig, rng_seed: int = 0) -> list:
     """All sequences of the configured grid, in c-major order.
 
-    Solves fan out over ``threads`` workers; assembly order is the grid
-    order regardless of completion order, so output is deterministic.
+    Solves run serially, one c at a time, so all widths of one c reuse
+    that c's eigenmodes.
     """
-    cases = []
+    sequences = []
     for c in config.c_values(rng_seed):
         for width in config.widths:
-            cases.append((float(c), width))
-
-    def build(args):
-        index, (c, width) = args
-        problem = SlabProblem(sigma_t=config.sigma_t, scattering_ratio=c,
-                              width=width, source=config.source)
-        return generate_sequence(problem, config.orders, seq_id=f"s{index:03d}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, enumerate(cases)))
-    return [build(item) for item in enumerate(cases)]
+            problem = SlabProblem(sigma_t=config.sigma_t,
+                                  scattering_ratio=float(c), width=width,
+                                  source=config.source)
+            sequences.append(generate_sequence(
+                problem, config.orders, seq_id=f"s{len(sequences):03d}"))
+    return sequences
 
 
-def generate_dataset(config: DatasetConfig = None, rng_seed: int = 0,
-                     threads: int = 1) -> list:
+def generate_dataset(config: DatasetConfig = None, rng_seed: int = 0) -> list:
     """The 240-sequence benchmark dataset on the documented default grid.
 
     Raises InvalidConfigError when the grid product is not 240; use
@@ -302,7 +323,7 @@ def generate_dataset(config: DatasetConfig = None, rng_seed: int = 0,
             f"(c, width) pairs, got {config.c_count} x {len(config.widths)} "
             f"= {config.grid_size}"
         )
-    return generate_grid(config, rng_seed=rng_seed, threads=threads)
+    return generate_grid(config, rng_seed=rng_seed)
 
 
 def dataset_metadata(config: DatasetConfig, rng_seed: int, version: str) -> dict:

@@ -80,15 +80,6 @@ class TestRunBenchmark:
         assert entry.grid_counts.shape == (len(ORDERS), 1)
         assert entry.grid_counts.sum() == len(mini24) * len(ORDERS)
 
-    def test_threaded_matches_serial(self, mini24):
-        methods = [aitken_accelerator(), evolved_accelerator()]
-        serial = run_benchmark(mini24, methods, ORDERS, threads=1)
-        threaded = run_benchmark(mini24, methods, ORDERS, threads=4)
-        for name in serial.methods:
-            s, t = serial.methods[name], threaded.methods[name]
-            assert (s.wins, s.losses, s.invalids) == (t.wins, t.losses, t.invalids)
-            assert np.array_equal(s.grid_wins, t.grid_wins)
-
 
 class TestReportFiles:
     def test_csvs_are_deterministic(self, mini24, tmp_path):

@@ -13,7 +13,7 @@ def run(*argv):
 def tiny_dataset(tmp_path):
     out = tmp_path / "data" / "tiny.csv"
     code = run("generate", "--out", str(out), "--seed", "1",
-               "--c-count", "4", "--widths", "1,2", "--threads", "1")
+               "--c-count", "4", "--widths", "1,2")
     assert code == 0
     return out
 
@@ -34,7 +34,7 @@ class TestGenerate:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             assert run("generate", "--out", str(out), "--seed", "7",
-                       "--c-count", "3", "--widths", "1", "--threads", "2") == 0
+                       "--c-count", "3", "--widths", "1") == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_row_count_of_default_shape(self, tiny_dataset):
@@ -45,11 +45,21 @@ class TestGenerate:
         assert run("generate", "--out", str(tmp_path / "x.csv"),
                    "--c-count", "0", "--widths", "1") == 2
 
+    def test_numerical_failure_prints_diagnostics(self, tmp_path, capsys,
+                                                  monkeypatch):
+        import txaccel.transport as transport_module
+
+        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 1.0)
+        assert run("generate", "--out", str(tmp_path / "x.csv"),
+                   "--c-count", "2", "--widths", "1") == 4
+        err = capsys.readouterr().err
+        assert "condition=" in err and "width=" in err
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TXACCEL_SEED", "123")
         out = tmp_path / "env.csv"
         assert run("generate", "--out", str(out), "--c-count", "2",
-                   "--widths", "1", "--threads", "1") == 0
+                   "--widths", "1") == 0
         assert read_metadata(out.with_suffix(".meta"))["seed"] == "123"
 
 
@@ -81,7 +91,7 @@ class TestEvolve:
     def test_short_sequences_are_a_data_error(self, tmp_path, capsys):
         short = tmp_path / "short.csv"
         assert run("generate", "--out", str(short), "--c-count", "2",
-                   "--widths", "1", "--n-max", "12", "--threads", "1") == 0
+                   "--widths", "1", "--n-max", "12") == 0
         code = run("evolve", "--data", str(short), "--pop", "4", "--gens", "1",
                    "--seed", "0", "--out", str(tmp_path / "r"))
         assert code == 3

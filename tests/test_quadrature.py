@@ -83,6 +83,26 @@ def test_rejects_non_integer():
         gauss_legendre(4.0)
 
 
+def test_cached_order_still_rejects_float():
+    # 4.0 == 4 and both hash alike, so a cache consulted before the
+    # argument check would return the cached rule of order 4.
+    gauss_legendre(4)
+    gauss_legendre(order=4)
+    with pytest.raises(InvalidArgumentError):
+        gauss_legendre(4.0)
+    with pytest.raises(InvalidArgumentError):
+        gauss_legendre(order=4.0)
+
+
+def test_cached_arrays_are_read_only():
+    q = gauss_legendre(8)
+    with pytest.raises(ValueError):
+        q.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        q.weights[0] = 0.0
+    assert gauss_legendre(8) is q
+
+
 def test_deterministic():
     a = gauss_legendre(32)
     b = gauss_legendre(32)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import txaccel.transport as transport_module
 from oracles import mesh_refined_center_flux, pure_absorber_center_flux
 from txaccel.errors import (
     InvalidArgumentError,
     InvalidConfigError,
+    NumericalFailureError,
     UnsupportedProblemError,
 )
 from txaccel.transport import (
@@ -102,17 +104,18 @@ class TestErrors:
             solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), order)
 
     def test_numerical_failure_carries_diagnostics(self, monkeypatch):
-        from txaccel.errors import NumericalFailureError
-        import txaccel.transport as transport_module
-
         def complex_eig(matrix):
             n = matrix.shape[0]
             return (np.full(n, 1.0 + 1e-3j), np.eye(n, dtype=complex))
 
+        # An earlier test may have cached these eigenmodes, which would
+        # skip the patched eig.
+        transport_module._eigenmodes.cache_clear()
         monkeypatch.setattr(transport_module.np.linalg, "eig", complex_eig)
         with pytest.raises(NumericalFailureError) as err:
             solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), 4)
         assert err.value.diagnostics["order"] == 4
+        assert err.value.diagnostics["width"] == 1.0
         assert "imag" in str(err.value)
 
         # Sequence generation annotates the failing order.
@@ -180,10 +183,39 @@ class TestDataset:
         assert [s.c for s in a] != [s.c for s in c]
         assert a[0].c == 0.001 and a[-1].c == 0.999
 
-    def test_threaded_generation_matches_serial(self):
-        config = DatasetConfig(c_count=4, widths=(1.0, 10.0))
-        serial = generate_grid(config, rng_seed=0, threads=1)
-        threaded = generate_grid(config, rng_seed=0, threads=4)
-        assert [s.id for s in serial] == [s.id for s in threaded]
-        for s1, s2 in zip(serial, threaded):
-            assert np.array_equal(s1.values, s2.values)
+    def test_eigenmode_cache_does_not_change_values(self):
+        config = DatasetConfig(c_count=3, widths=(1.0, 10.0, 50.0),
+                               orders=(4, 8, 16))
+        reverse = DatasetConfig(c_count=3, widths=config.widths[::-1],
+                                orders=config.orders)
+
+        def by_case(sequences):
+            return {(s.c, s.width_mfp): s.values for s in sequences}
+
+        # Reference: every sequence solved from an empty cache, so no two
+        # widths share eigenmodes.
+        unshared = {}
+        for c in config.c_values():
+            for width in config.widths:
+                transport_module._eigenmodes.cache_clear()
+                problem = SlabProblem(scattering_ratio=float(c), width=width)
+                unshared[float(c), width] = generate_sequence(
+                    problem, config.orders).values
+
+        transport_module._eigenmodes.cache_clear()
+        fresh = by_case(generate_grid(config))
+        warm = by_case(generate_grid(config))
+        transport_module._eigenmodes.cache_clear()
+        cleared = by_case(generate_grid(config))
+        reversed_widths = by_case(generate_grid(reverse))
+        for grid in (fresh, warm, cleared, reversed_widths):
+            assert grid.keys() == unshared.keys()
+            for case, values in unshared.items():
+                assert np.array_equal(grid[case], values), case
+
+    def test_eigenmodes_are_read_only(self):
+        *_, lam, vecs = transport_module._eigenmodes(8, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 0.0
