@@ -23,7 +23,6 @@ from .evolution import (
     EvolutionConfig,
     EvolutionReport,
     FitnessEvaluator,
-    ParamOptConfig,
     evolve,
     fitness,
     optimize_parameter,

@@ -118,13 +118,11 @@ def evolved_formula(window: Window) -> float:
 class Accelerator:
     """A named transform from a trailing window to one accelerated value.
 
-    ``min_window`` is the number of trailing terms the transform reads;
-    all built-ins stay within the 4-term window so no method sees more
+    Every transform reads the same 4-term window, so no method sees more
     history than any other.
     """
 
     name: str
-    min_window: int
     transform: Callable[[Window], float]
 
 
@@ -140,21 +138,21 @@ class AcceleratorResult:
 
 
 def identity_accelerator() -> Accelerator:
-    return Accelerator("raw", 1, lambda w: w.s_n)
+    return Accelerator("raw", lambda w: w.s_n)
 
 
 def aitken_accelerator() -> Accelerator:
-    return Accelerator("aitken", 3, lambda w: aitken(w.s_n, w.s_nm1, w.s_nm2))
+    return Accelerator("aitken", lambda w: aitken(w.s_n, w.s_nm1, w.s_nm2))
 
 
 def wynn_accelerator() -> Accelerator:
     # Most recent column-2 entry the 4-term window supports, i.e. the
     # epsilon table over (S_{n-2}, S_{n-1}, S_n).
-    return Accelerator("wynn", 3, lambda w: _wynn_column2(w.s_nm2, w.s_nm1, w.s_n))
+    return Accelerator("wynn", lambda w: _wynn_column2(w.s_nm2, w.s_nm1, w.s_n))
 
 
 def evolved_accelerator() -> Accelerator:
-    return Accelerator("evolved", 3, evolved_formula)
+    return Accelerator("evolved", evolved_formula)
 
 
 def apply_accelerator(acc: Accelerator, seq: Sequence, positions) -> AcceleratorResult:

@@ -35,7 +35,7 @@ from .errors import (
     InvalidConfigError,
     NumericalFailureError,
 )
-from .evolution import EvolutionConfig, ParamOptConfig, evolve, split_dataset, write_report
+from .evolution import EvolutionConfig, evolve, split_dataset, write_report
 from .sequences import load_dataset, read_metadata, write_dataset
 from .transport import DatasetConfig, dataset_metadata, generate_grid
 from .trees import eval_formula, parse
@@ -116,10 +116,8 @@ def cmd_evolve(args):
         tournament_size=args.tourn,
         max_depth=args.depth,
         target_fitness=args.target,
-        train_fraction=args.split,
         evaluation_orders=tuple(args.positions),
         rng_seed=seed,
-        param_opt=ParamOptConfig(),
     )
     report = evolve(config, training, validation)
     out = Path(args.out)
@@ -142,7 +140,7 @@ def cmd_evolve(args):
 
 def _formula_accelerator(path) -> Accelerator:
     formula = parse(Path(path).read_text())
-    return Accelerator("evolved", 4, lambda w: eval_formula(formula, w))
+    return Accelerator("evolved", lambda w: eval_formula(formula, w))
 
 
 def cmd_evaluate(args):

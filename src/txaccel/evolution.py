@@ -3,22 +3,21 @@
 Each generation copies the elite unchanged, fills the rest with
 tournament-selected parents recombined by subtree crossover (probability
 p_c) and subtree mutation (probability p_m per offspring), tunes the
-learnable parameter of every newly created or modified formula with
-restarted Nelder-Mead, and stops at the generation cap or once the best
-training fitness exceeds the target.
+learnable parameter of every newly created or modified formula with a
+deterministic two-batch scan over p, and stops at the generation cap or
+once the best training fitness exceeds the target.
 
 Fitness is the fraction of (sequence, position) comparisons where the
 formula's consecutive relative error strictly beats the raw sequence's
 error at the same position.  Invalid outputs (a vanishing accelerated
 value makes the relative error undefined) count as losses.  All window
-evaluation goes through the compiled-program kernels, so one fitness call
-is a single batch evaluation.
+evaluation goes through the compiled-program kernel, so one fitness call
+is a single batch evaluation, for one p-value or a whole vector of them.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InsufficientHistoryError, InvalidConfigError
 from .kernels import compile_formula, evaluate_program
@@ -36,20 +35,22 @@ from .trees import (
 
 DEFAULT_EVALUATION_ORDERS = (20, 28, 36, 44, 52)
 
+#: Range of the initial p of a random formula and of the tuner's random
+#: draws, and the number of those draws per tuned formula.
+P_RANGE = (-2.0, 2.0)
+P_DRAWS = 5
 
-@dataclass(frozen=True)
-class ParamOptConfig:
-    restarts: int = 5
-    max_function_evals: int = 200
-    p_init_range: tuple = (-2.0, 2.0)
+#: Fixed part of the tuner's first batch: an even grid on P_RANGE and
+#: log-spaced magnitudes of both signs, because the best p of a formula
+#: can lie far outside P_RANGE.
+P_SCAN = np.concatenate((np.linspace(*P_RANGE, 129),
+                         np.logspace(-4, 6, 41), -np.logspace(-4, 6, 41)))
 
-    def __post_init__(self):
-        if self.restarts < 1 or self.max_function_evals < 1:
-            raise InvalidConfigError("param_opt needs restarts >= 1 and "
-                                     "max_function_evals >= 1")
-        lo, hi = self.p_init_range
-        if not lo < hi:
-            raise InvalidConfigError(f"empty p_init_range {self.p_init_range}")
+#: The refine batch: REFINE_POINTS even points on best +- max(REFINE_MIN,
+#: |best| * REFINE_RELATIVE), a quarter decade around a log-grid point.
+REFINE_POINTS = 65
+REFINE_MIN = 1.0 / 32.0
+REFINE_RELATIVE = 10.0 ** 0.25 - 1.0
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,8 @@ class EvolutionConfig:
     tournament_size: int = 3
     max_depth: int = 4
     target_fitness: float = 0.75
-    train_fraction: float = 0.70
     evaluation_orders: tuple = DEFAULT_EVALUATION_ORDERS
     rng_seed: int = 0
-    param_opt: ParamOptConfig = field(default_factory=ParamOptConfig)
     ephemeral_constants: bool = True
 
     def __post_init__(self):
@@ -86,9 +85,6 @@ class EvolutionConfig:
         if not 0.0 < self.target_fitness <= 1.0:
             raise InvalidConfigError(f"target_fitness {self.target_fitness} "
                                      "not in (0, 1]")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidConfigError(f"train_fraction {self.train_fraction} "
-                                     "not in (0, 1)")
         if self.max_depth < 1:
             raise InvalidConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if len(self.evaluation_orders) == 0:
@@ -101,7 +97,8 @@ class FitnessEvaluator:
     For each sequence and each evaluation order k the formula needs its
     accelerated value at k and at the order just before k, so the window
     matrix holds one row per needed position and ``fitness_program`` is a
-    single kernel call plus a vectorized comparison.
+    single kernel call plus a vectorized comparison.  ``evals`` counts the
+    p-values scored.
     """
 
     def __init__(self, sequences, orders):
@@ -149,16 +146,17 @@ class FitnessEvaluator:
         self.comparisons = len(sequences) * len(orders)
         self.evals = 0
 
-    def fitness_program(self, program, p: float) -> float:
-        self.evals += 1
+    def fitness_program(self, program, p):
+        """Fitness at ``p``: a float, or one per entry of a 1-D array."""
         accel = evaluate_program(program, self.windows, p)
-        curr = accel[self.curr_ids]
-        prev = accel[self.prev_ids]
+        self.evals += np.size(p)
+        curr = accel[..., self.curr_ids]
+        prev = accel[..., self.prev_ids]
         ok = np.abs(curr) >= TINY_DENOMINATOR
         err = np.where(ok, np.abs(curr - prev) / np.where(ok, np.abs(curr), 1.0),
                        np.inf)
-        wins = int(np.count_nonzero(err < self.raw_errors))
-        return wins / self.comparisons
+        fit = np.count_nonzero(err < self.raw_errors, axis=-1) / self.comparisons
+        return fit if np.ndim(p) else float(fit)
 
     def fitness(self, f: Formula) -> float:
         return self.fitness_program(compile_formula(f), f.p)
@@ -169,41 +167,37 @@ def fitness(f: Formula, training, orders=DEFAULT_EVALUATION_ORDERS) -> float:
     return FitnessEvaluator(training, orders).fitness(f)
 
 
-def _optimize_parameter(f, evaluator, param_cfg, rng):
-    """Best (formula, fitness) over restarted Nelder-Mead tuning of p.
+def _optimize_parameter(f, evaluator, rng):
+    """Best (formula, fitness) over a two-batch scan of p.
 
-    Formulas without a p node are returned as-is (one fitness call, no
-    optimizer).  Every objective evaluation is tracked, so the result is
-    at least as fit as any tried initial value.
+    Formulas without a p node are returned as-is after one fitness
+    evaluation and leave ``rng`` untouched.  Otherwise the first batch is
+    the current p, P_SCAN and P_DRAWS uniform draws from P_RANGE; the
+    second refines around the first batch's best.  The first best p wins,
+    and ``f`` itself is returned unless some p is strictly fitter than
+    ``f.p``.
     """
     program = compile_formula(f)
     if not (contains_parameter(f.numerator) or contains_parameter(f.denominator)):
         return f, evaluator.fitness_program(program, f.p)
 
-    best = {"p": f.p, "fitness": evaluator.fitness_program(program, f.p)}
-
-    def objective(x):
-        value = evaluator.fitness_program(program, float(x[0]))
-        if value > best["fitness"]:
-            best["fitness"] = value
-            best["p"] = float(x[0])
-        return -value
-
-    lo, hi = param_cfg.p_init_range
-    for p0 in rng.uniform(lo, hi, param_cfg.restarts):
-        minimize(objective, np.array([p0]), method="Nelder-Mead",
-                 options={"maxfev": param_cfg.max_function_evals})
-    if best["p"] == f.p:
-        return f, best["fitness"]
-    return replace(f, p=best["p"]), best["fitness"]
+    scan = np.concatenate(([f.p], P_SCAN, rng.uniform(*P_RANGE, P_DRAWS)))
+    scan_fit = evaluator.fitness_program(program, scan)
+    center = scan[np.argmax(scan_fit)]
+    half = max(REFINE_MIN, abs(center) * REFINE_RELATIVE)
+    refine = np.linspace(center - half, center + half, REFINE_POINTS)
+    candidates = np.concatenate((scan, refine))
+    fits = np.concatenate((scan_fit, evaluator.fitness_program(program, refine)))
+    best = int(np.argmax(fits))
+    if best == 0:
+        return f, float(fits[0])
+    return replace(f, p=float(candidates[best])), float(fits[best])
 
 
 def optimize_parameter(f: Formula, training, orders=DEFAULT_EVALUATION_ORDERS,
-                       param_config: ParamOptConfig = None,
                        rng_seed: int = 0) -> Formula:
     evaluator = FitnessEvaluator(training, orders)
-    cfg = param_config if param_config is not None else ParamOptConfig()
-    tuned, _ = _optimize_parameter(f, evaluator, cfg, np.random.default_rng(rng_seed))
+    tuned, _ = _optimize_parameter(f, evaluator, np.random.default_rng(rng_seed))
     return tuned
 
 
@@ -288,7 +282,7 @@ def _initial_population(config, rng):
     for i in range(config.population_size - 1):
         depth = depths[i % len(depths)]
         method = methods[(i // len(depths)) % 2]
-        p = float(rng.uniform(*config.param_opt.p_init_range))
+        p = float(rng.uniform(*P_RANGE))
         num = random_tree(depth, method, rng, config.ephemeral_constants)
         den = random_tree(depth, method, rng, config.ephemeral_constants)
         formulas.append(Formula(num, den, p))
@@ -315,7 +309,7 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
 
     population = []
     for f in _initial_population(config, rng):
-        population.append(_optimize_parameter(f, evaluator, config.param_opt, rng))
+        population.append(_optimize_parameter(f, evaluator, rng))
 
     def best_index(pop):
         return min(range(len(pop)), key=_rank_key(pop))
@@ -370,8 +364,7 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
                     break
                 if modified:
                     new_population.append(
-                        _optimize_parameter(child, evaluator, config.param_opt,
-                                            rng))
+                        _optimize_parameter(child, evaluator, rng))
                 else:
                     # Straight copy: parent's p is already tuned, reuse its
                     # fitness instead of re-evaluating.

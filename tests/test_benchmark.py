@@ -114,8 +114,7 @@ class TestCompareToReference:
         # A method winning everywhere sits far outside every reference
         # band and must carry the parameterization caveat.
         seqs = geometric_sequences()
-        acc = Accelerator("aitken", 3,
-                          aitken_accelerator().transform)
+        acc = Accelerator("aitken", aitken_accelerator().transform)
         report = run_benchmark(seqs, [acc], ORDERS)
         text = compare_to_reference(report)
         assert "dataset-parameterization difference" in text

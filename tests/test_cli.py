@@ -97,6 +97,13 @@ class TestEvolve:
         assert code == 3
         assert "insufficient window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["0.0", "1.0"])
+    def test_split_outside_unit_interval_is_usage_error(self, tiny_dataset,
+                                                       tmp_path, split):
+        assert run("evolve", "--data", str(tiny_dataset), "--pop", "4",
+                   "--gens", "1", "--split", split,
+                   "--out", str(tmp_path / "r")) == 2
+
     def test_missing_dataset_is_a_data_error(self, tmp_path):
         assert run("evolve", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "r")) == 3

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-import txaccel.evolution as evolution_module
 from txaccel.accelerators import aitken, is_invalid
 from txaccel.errors import InsufficientHistoryError, InvalidConfigError
 from txaccel.evolution import (
     EvolutionConfig,
     FitnessEvaluator,
     _initial_population,
+    _optimize_parameter,
     evolve,
     fitness,
     optimize_parameter,
@@ -15,6 +15,7 @@ from txaccel.evolution import (
     tournament_select,
     write_report,
 )
+from txaccel.kernels import compile_formula
 from txaccel.sequences import Sequence, Window
 from txaccel.trees import Formula, Node, eval_formula, parse, serialize
 
@@ -36,6 +37,25 @@ def geometric_training_set(n_seq=12, seed=0, prefix="g"):
 
 def identity_formula():
     return Formula(Node("Sn"), Node("const", value=1.0), 0.0)
+
+
+def step_formula(shift=0.0, scale=1.0, p=0.0):
+    """A_n = S_n + scale*(p - shift)*(S_n - S_{n-1}).
+
+    On geometric data with ratio r it beats the raw sequence where
+    0 < scale*(p - shift) < 2r/(1-r).
+    """
+    factor = Node("p")
+    if shift:
+        factor = Node("sub", children=(factor, Node("const", value=shift)))
+    if scale != 1.0:
+        factor = Node("mul", children=(Node("const", value=scale), factor))
+    step = Node("sub", children=(Node("Sn"), Node("Snm1")))
+    return Formula(
+        Node("add", children=(Node("Sn"), Node("mul", children=(factor, step)))),
+        Node("const", value=1.0),
+        p=p,
+    )
 
 
 class TestSplit:
@@ -91,7 +111,7 @@ class TestFitness:
         evaluator = FitnessEvaluator(mini24, ORDERS)
         fast = evaluator.fitness(f)
 
-        acc = Accelerator("f", 4, lambda w: eval_formula(f, w))
+        acc = Accelerator("f", lambda w: eval_formula(f, w))
         wins = 0
         for seq in mini24:
             result = apply_accelerator(acc, seq, ORDERS)
@@ -102,6 +122,17 @@ class TestFitness:
                     wins += 1
         assert fast == wins / evaluator.comparisons
 
+    def test_vector_of_p_matches_scalar_calls(self):
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        program = compile_formula(step_formula())
+        ps = np.array([-1.5, 0.0, 0.7, 1.2, 40.0])
+        fits = evaluator.fitness_program(program, ps)
+        assert evaluator.evals == len(ps)
+        assert fits.shape == ps.shape
+        for p, fit in zip(ps, fits):
+            assert evaluator.fitness_program(program, p) == fit
+        assert evaluator.evals == 2 * len(ps)
+
     def test_insufficient_history_is_reported(self):
         short = Sequence(id="s", c=0.5, width_mfp=1.0,
                          orders=(4, 8, 12), values=np.ones(3))
@@ -110,18 +141,40 @@ class TestFitness:
 
 
 class TestOptimizeParameter:
-    def test_formula_without_p_is_untouched(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(evolution_module, "minimize",
-                            lambda *a, **k: calls.append(1))
+    def test_formula_without_p_is_untouched(self):
         f = identity_formula()
-        out = optimize_parameter(f, geometric_training_set(), ORDERS)
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        out, fit = _optimize_parameter(f, evaluator, np.random.default_rng(0))
         assert out is f
-        assert calls == []
+        assert evaluator.evals == 1
+        assert fit == evaluator.fitness(f)
+
+    def test_flat_fitness_keeps_formula(self):
+        # p * 0 leaves the identity at every p: no candidate is strictly
+        # fitter, so the formula object comes back unchanged.
+        f = Formula(Node("add", children=(
+            Node("Sn"), Node("mul", children=(Node("p"), Node("const", value=0.0))))),
+            Node("const", value=1.0), p=0.5)
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        out, fit = _optimize_parameter(f, evaluator, np.random.default_rng(0))
+        assert out is f
+        assert fit == 0.0
+
+    def test_rng_stream(self):
+        # A formula with p draws exactly uniform(-2, 2, 5); one without p
+        # draws nothing, so the search's stream does not depend on the
+        # tuner's internals.
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        for f, draws in ((step_formula(), 5), (identity_formula(), 0)):
+            rng = np.random.default_rng(11)
+            twin = np.random.default_rng(11)
+            _optimize_parameter(f, evaluator, rng)
+            twin.uniform(-2.0, 2.0, draws)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_beats_grid_scan_oracle(self):
         # A_n = S_n + p*(S_n - S_{n-1}) on near-geometric data: compare the
-        # simplex result against a brute-force p grid at 1e-3 resolution.
+        # tuned result against a brute-force p grid at 1e-3 resolution.
         f = Formula(
             Node("add", children=(
                 Node("Sn"),
@@ -135,7 +188,6 @@ class TestOptimizeParameter:
         )
         training = geometric_training_set()
         evaluator = FitnessEvaluator(training, ORDERS)
-        from txaccel.kernels import compile_formula
         program = compile_formula(f)
         grid = np.arange(-2.0, 2.0 + 1e-9, 1e-3)
         grid_best = max(evaluator.fitness_program(program, p) for p in grid)
@@ -144,6 +196,27 @@ class TestOptimizeParameter:
         tuned_fitness = evaluator.fitness(tuned)
         assert tuned_fitness >= grid_best - 1e-6
         assert tuned_fitness > evaluator.fitness_program(program, 0.0)
+
+    def test_finds_far_p_against_log_grid_oracle(self):
+        # Shifted and scaled, the step wins only for p in about
+        # (1e3, 2.6e3), far outside the initial range; compare against a
+        # brute-force grid of 40 points per decade over 1e-4 <= |p| <= 1e6,
+        # both signs.
+        f = step_formula(shift=1e3, scale=1e-3)
+        training = geometric_training_set()
+        evaluator = FitnessEvaluator(training, ORDERS)
+        program = compile_formula(f)
+        magnitudes = np.logspace(-4, 6, 401)
+        grid = np.concatenate((-magnitudes[::-1], [0.0], magnitudes))
+        grid_fits = [evaluator.fitness_program(program, p) for p in grid]
+        grid_best = max(grid_fits)
+        assert abs(grid[int(np.argmax(grid_fits))]) > 2.0
+        assert grid_best > max(evaluator.fitness_program(program, p)
+                               for p in np.linspace(-2.0, 2.0, 401))
+
+        tuned = optimize_parameter(f, training, ORDERS)
+        assert abs(tuned.p) > 2.0
+        assert evaluator.fitness(tuned) >= grid_best - 1e-6
 
     def test_deterministic(self):
         f = Formula(Node("add", children=(Node("Sn"), Node("p"))),

@@ -1,19 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from txaccel import kernels
 from txaccel.errors import InvalidArgumentError
-from txaccel.kernels import (
-    compile_formula,
-    default_backend,
-    evaluate_formula_batch,
-    evaluate_program,
-)
+from txaccel.kernels import compile_formula, evaluate_formula_batch
 from txaccel.sequences import Window
-from txaccel.trees import eval_formula, random_formula
-
-needs_numba = pytest.mark.skipif(not kernels._HAS_NUMBA,
-                                 reason="numba not installed")
+from txaccel.trees import Formula, Node, eval_formula, random_formula
 
 
 def random_windows(rng, n, lo=1e-8, hi=1e8):
@@ -27,22 +21,21 @@ def test_numpy_backend_matches_scalar_reference_bitwise():
         f = random_formula(4, "grow" if trial % 2 else "full", rng,
                            p=float(rng.uniform(-2, 2)))
         windows = random_windows(rng, 9)
-        batch = evaluate_formula_batch(f, windows, backend="numpy")
+        batch = evaluate_formula_batch(f, windows)
+        assert batch.shape == (9,)
         for i in range(windows.shape[0]):
             assert batch[i] == eval_formula(f, Window(*windows[i]))
 
-
-@needs_numba
-def test_numba_backend_matches_numpy_bitwise():
-    rng = np.random.default_rng(41)
-    for trial in range(200):
-        f = random_formula(4, "grow" if trial % 2 else "full", rng,
-                           p=float(rng.uniform(-2, 2)))
-        windows = random_windows(rng, 33)
-        prog = compile_formula(f)
-        a = evaluate_program(prog, windows, f.p, backend="numba")
-        b = evaluate_program(prog, windows, f.p, backend="numpy")
-        assert np.array_equal(a, b)
+        # A vector of p-values gives one row per p, each bitwise equal to
+        # the scalar reference at that p.
+        ps = np.concatenate(([f.p, 0.0, -1e6], rng.uniform(-2, 2, 3),
+                             rng.choice([-1.0, 1.0], 3) * np.logspace(-4, 6, 3)))
+        rows = evaluate_formula_batch(f, windows, ps)
+        assert rows.shape == (len(ps), 9) and rows.flags.writeable
+        for j, p in enumerate(ps):
+            g = replace(f, p=float(p))
+            for i in range(windows.shape[0]):
+                assert rows[j, i] == eval_formula(g, Window(*windows[i]))
 
 
 def test_outputs_always_finite():
@@ -53,26 +46,25 @@ def test_outputs_always_finite():
         assert np.all(np.isfinite(out))
 
 
-def test_backend_env_flag(monkeypatch):
-    monkeypatch.setenv("TXACCEL_BACKEND", "numpy")
-    assert default_backend() == "numpy"
-    monkeypatch.setenv("TXACCEL_BACKEND", "auto")
-    assert default_backend() in ("numba", "numpy")
-    monkeypatch.setenv("TXACCEL_BACKEND", "nonsense")
-    with pytest.raises(InvalidArgumentError):
-        default_backend()
-
-
-@needs_numba
-def test_backend_env_flag_numba(monkeypatch):
-    monkeypatch.setenv("TXACCEL_BACKEND", "numba")
-    assert default_backend() == "numba"
-
-
 def test_window_shape_validated():
     f = random_formula(2, "grow", np.random.default_rng(43))
     with pytest.raises(InvalidArgumentError):
         evaluate_formula_batch(f, np.ones((4, 3)))
+
+
+def test_p_must_be_scalar_or_vector():
+    f = random_formula(2, "grow", np.random.default_rng(45))
+    with pytest.raises(InvalidArgumentError):
+        evaluate_formula_batch(f, np.ones((4, 4)), np.zeros((2, 2)))
+
+
+def test_formula_without_window_terms_fills_every_row():
+    # p / p and constants never touch a window column, yet each p-value
+    # still gets one value per window.
+    f = Formula(Node("p"), Node("add", children=(Node("p"), Node("const", value=1.0))))
+    out = evaluate_formula_batch(f, np.ones((5, 4)), np.array([1.0, 3.0]))
+    assert out.shape == (2, 5) and out.flags.writeable
+    assert np.array_equal(out, np.array([[0.5] * 5, [0.75] * 5]))
 
 
 def test_compiled_program_shape():
@@ -80,4 +72,3 @@ def test_compiled_program_shape():
     prog = compile_formula(f)
     assert prog.code.shape == prog.consts.shape
     assert prog.code[-1] == kernels.OP_DIV
-    assert prog.stack_need >= 2
