@@ -95,10 +95,11 @@ class FitnessEvaluator:
     """Precomputed window matrix and raw errors for one sequence set.
 
     For each sequence and each evaluation order k the formula needs its
-    accelerated value at k and at the order just before k, so the window
-    matrix holds one row per needed position and ``fitness_program`` is a
-    single kernel call plus a vectorized comparison.  ``evals`` counts the
-    p-values scored.
+    accelerated value at k and at the order just before k.  The window
+    matrix holds the m previous-position rows first and the m current-
+    position rows after them, one pair per comparison, so
+    ``fitness_program`` is a single kernel call, two slices and an
+    in-place comparison.  ``evals`` counts the p-values scored.
     """
 
     def __init__(self, sequences, orders):
@@ -106,13 +107,11 @@ class FitnessEvaluator:
         orders = tuple(int(n) for n in orders)
         if not sequences:
             raise InvalidConfigError("sequence set must be non-empty")
-        rows = []
-        curr_ids = []
-        prev_ids = []
+        prev_rows = []
+        curr_rows = []
         raw_err = []
         for seq in sequences:
             values = seq.values
-            row_of = {}
             for order in orders:
                 try:
                     i = seq.index_of(order)
@@ -126,22 +125,15 @@ class FitnessEvaluator:
                         f"sits at index {i} of sequence {seq.id!r}; both it and "
                         "its predecessor need 3 trailing terms"
                     )
-                for j in (i - 1, i):
-                    if j not in row_of:
-                        row_of[j] = len(rows)
-                        rows.append((values[j], values[j - 1],
-                                     values[j - 2], values[j - 3]))
-                curr_ids.append(row_of[i])
-                prev_ids.append(row_of[i - 1])
+                prev_rows.append(values[i - 4:i][::-1])
+                curr_rows.append(values[i - 3:i + 1][::-1])
                 raw_err.append(
                     np.inf if abs(values[i]) < TINY_DENOMINATOR
                     else abs(values[i] - values[i - 1]) / abs(values[i])
                 )
         self.sequences = sequences
         self.orders = orders
-        self.windows = np.asarray(rows, dtype=np.float64)
-        self.curr_ids = np.asarray(curr_ids, dtype=np.intp)
-        self.prev_ids = np.asarray(prev_ids, dtype=np.intp)
+        self.windows = np.asarray(prev_rows + curr_rows, dtype=np.float64)
         self.raw_errors = np.asarray(raw_err, dtype=np.float64)
         self.comparisons = len(sequences) * len(orders)
         self.evals = 0
@@ -150,12 +142,16 @@ class FitnessEvaluator:
         """Fitness at ``p``: a float, or one per entry of a 1-D array."""
         accel = evaluate_program(program, self.windows, p)
         self.evals += np.size(p)
-        curr = accel[..., self.curr_ids]
-        prev = accel[..., self.prev_ids]
-        ok = np.abs(curr) >= TINY_DENOMINATOR
-        err = np.where(ok, np.abs(curr - prev) / np.where(ok, np.abs(curr), 1.0),
-                       np.inf)
-        fit = np.count_nonzero(err < self.raw_errors, axis=-1) / self.comparisons
+        m = self.comparisons
+        prev = accel[..., :m]
+        curr = accel[..., m:]
+        err = np.subtract(curr, prev, out=prev)
+        np.abs(err, out=err)
+        np.abs(curr, out=curr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(err, curr, out=err)
+        err[curr < TINY_DENOMINATOR] = np.inf
+        fit = np.count_nonzero(err < self.raw_errors, axis=-1) / m
         return fit if np.ndim(p) else float(fit)
 
     def fitness(self, f: Formula) -> float:
@@ -219,9 +215,13 @@ def tournament_select(population, rng, tournament_size: int = 3):
     """
     if not population:
         raise InvalidConfigError("population must be non-empty")
-    draws = rng.integers(0, len(population), size=tournament_size)
-    key = _rank_key(population)
-    return population[min(draws, key=key)][0]
+    return population[_tournament(rng, len(population), tournament_size,
+                                  _rank_key(population))][0]
+
+
+def _tournament(rng, size, tournament_size, key):
+    """Index of the winner of one tournament under the rank ``key``."""
+    return min(rng.integers(0, size, size=tournament_size), key=key)
 
 
 @dataclass
@@ -311,9 +311,6 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
     for f in _initial_population(config, rng):
         population.append(_optimize_parameter(f, evaluator, rng))
 
-    def best_index(pop):
-        return min(range(len(pop)), key=_rank_key(pop))
-
     def record(state):
         fits = [fit for _, fit in state.population]
         state.history.append(GenerationStats(
@@ -324,23 +321,24 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
             population_size=len(state.population),
         ))
 
+    # Tree sizes are counted once per population, in its rank key.
+    key = _rank_key(population)
     state = EvolutionState(generation=0, population=population,
-                           best=population[best_index(population)], history=[])
+                           best=population[min(range(len(population)), key=key)],
+                           history=[])
     record(state)
 
     while (state.generation < config.max_generations
            and state.best[1] <= config.target_fitness):
-        new_population = []
-        order = sorted(range(len(state.population)),
-                       key=_rank_key(state.population))
-        for i in order[:config.elite_count]:
-            new_population.append(state.population[i])
+        population = state.population
+        order = sorted(range(len(population)), key=key)
+        new_population = [population[i] for i in order[:config.elite_count]]
 
         while len(new_population) < config.population_size:
-            parent_a = tournament_select(state.population, rng,
-                                         config.tournament_size)
-            parent_b = tournament_select(state.population, rng,
-                                         config.tournament_size)
+            a = _tournament(rng, len(population), config.tournament_size, key)
+            b = _tournament(rng, len(population), config.tournament_size, key)
+            parent_a = population[a][0]
+            parent_b = population[b][0]
             if rng.random() < config.crossover_rate:
                 child_a, child_b = crossover(parent_a, parent_b, rng,
                                              config.max_depth,
@@ -358,8 +356,8 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
                                  config.ephemeral_constants)
                 modified_b = True
 
-            for child, modified, parent in ((child_a, modified_a, parent_a),
-                                            (child_b, modified_b, parent_b)):
+            for child, modified, parent in ((child_a, modified_a, a),
+                                            (child_b, modified_b, b)):
                 if len(new_population) >= config.population_size:
                     break
                 if modified:
@@ -368,13 +366,12 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
                 else:
                     # Straight copy: parent's p is already tuned, reuse its
                     # fitness instead of re-evaluating.
-                    parent_fit = next(fit for f, fit in state.population
-                                      if f is parent)
-                    new_population.append((child, parent_fit))
+                    new_population.append((child, population[parent][1]))
 
         state.population = new_population
         state.generation += 1
-        candidate = state.population[best_index(state.population)]
+        key = _rank_key(new_population)
+        candidate = new_population[min(range(len(new_population)), key=key)]
         if candidate[1] > state.best[1]:
             state.best = candidate
         record(state)

@@ -7,7 +7,13 @@ The learnable parameter p may be one float or a vector of P values; a
 vector broadcasts against the window columns, so one call scores every
 p-value at once and returns a (P, n_windows) matrix.
 
-Every row reproduces trees.eval_formula bit for bit at its p, so the
+The sweep works in place.  Window columns, p and constants enter as
+views that are only read; each opcode writes into an earlier opcode's
+temporary when one has the result's shape, then clamps or guards that
+result in place, and the rare branches (+-inf replacement, the
+protected-division guard) only run when a result needs them.  Each step
+is the same IEEE operation as in the scalar evaluator, so every row
+reproduces trees.eval_formula bit for bit at its p, NaN included: the
 recursive scalar evaluator stays the reference semantics and this module
 is purely the fast path.  The mean cost of one call is the
 ``kernels.evaluate_program.us`` metric of
@@ -81,14 +87,35 @@ def compile_formula(f: Formula) -> Program:
                    consts=np.asarray(consts, dtype=np.float64))
 
 
+def _clamp_overflow(v):
+    """Pull +-inf in ``v`` back to +-CLAMP in place; NaN passes through."""
+    if not np.isfinite(v).all():
+        v[v == np.inf] = CLAMP
+        v[v == -np.inf] = -CLAMP
+    return v
+
+
+def _scratch(a, b):
+    """An operand that is a temporary of the result's shape, else None.
+
+    Shared inputs reach the sweep as views, so an array that owns its data
+    was made by an earlier opcode and may take the result.
+    """
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    for v in (a, b):
+        if v.flags.owndata and v.shape == shape:
+            return v
+    return None
+
+
 def _eval_program(code, consts, columns, p_column):
     """Result of the postfix sweep; it broadcasts to (..., n).
 
     ``columns`` holds the four window columns as rows and ``p_column`` the
-    p-values as a column, so a subtree without p stays one row long.
+    p-values as a column, so a subtree without p stays one row long and a
+    constant stays one element long.
     """
     stack = []
-    n = columns.shape[1]
     for k in range(code.shape[0]):
         op = int(code[k])
         if op <= OP_SNM3:
@@ -96,35 +123,30 @@ def _eval_program(code, consts, columns, p_column):
         elif op == OP_P:
             stack.append(p_column)
         elif op == OP_CONST:
-            stack.append(np.full(n, consts[k]))
+            stack.append(consts[k:k + 1])
         elif op == OP_D2:
             stack.append(columns[0] - 2.0 * columns[1] + columns[2])
         elif op == OP_SQ:
             a = stack.pop()
-            v = a * a
-            stack.append(np.where(v > CLAMP, CLAMP, v))
+            v = np.multiply(a, a, out=a if a.flags.owndata else None)
+            stack.append(np.minimum(v, CLAMP, out=v))
         else:
             b = stack.pop()
             a = stack.pop()
             if op == OP_ADD:
-                v = a + b
+                v = _clamp_overflow(np.add(a, b, out=_scratch(a, b)))
             elif op == OP_SUB:
-                v = a - b
+                v = _clamp_overflow(np.subtract(a, b, out=_scratch(a, b)))
             elif op == OP_MUL:
-                v = a * b
-                v = np.where(v > CLAMP, CLAMP, v)
-                v = np.where(v < -CLAMP, -CLAMP, v)
-                stack.append(v)
-                continue
+                v = np.multiply(a, b, out=_scratch(a, b))
+                np.clip(v, -CLAMP, CLAMP, out=v)
             else:  # OP_DIV
                 guarded = np.abs(b) < DIV_GUARD
-                v = a / np.where(guarded, 1.0, b)
-                v = np.where(v == np.inf, CLAMP, v)
-                v = np.where(v == -np.inf, -CLAMP, v)
-                stack.append(np.where(guarded, DIV_PROTECTED_VALUE, v))
-                continue
-            v = np.where(v == np.inf, CLAMP, v)
-            v = np.where(v == -np.inf, -CLAMP, v)
+                if guarded.any():
+                    v = _clamp_overflow(a / np.where(guarded, 1.0, b))
+                    v[np.broadcast_to(guarded, v.shape)] = DIV_PROTECTED_VALUE
+                else:
+                    v = _clamp_overflow(np.divide(a, b, out=_scratch(a, b)))
             stack.append(v)
     return stack[0]
 

@@ -1,101 +1,79 @@
 """Independent reference solutions used to check the analytic solver.
 
-Diamond-difference discrete ordinates on a uniform spatial mesh, iterated
-to convergence on the scattering source, then Richardson-extrapolated to
-zero mesh width from three refinement levels.  The quadrature comes from
-numpy's leggauss so this path shares nothing with the package solver
-beyond the problem definition.  The same Q/2 isotropic source convention
-applies.
+Diamond-difference discrete ordinates on a uniform spatial mesh, solved
+for the scattering source with GMRES (Saad & Schultz 1986), then
+Richardson-extrapolated to zero mesh width from three refinement levels.
+On a uniform mesh the transport sweep of one ordinate is a first-order
+linear recurrence over the cells, so each sweep is one
+``scipy.signal.lfilter`` call.  The quadrature comes from numpy's
+leggauss, so this path shares nothing with the package solver beyond the
+problem definition.  The same Q/2 isotropic source convention applies.
 """
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover
-    njit = lambda **kw: (lambda f: f)  # noqa: E731
+from scipy.signal import lfilter
+from scipy.sparse.linalg import LinearOperator, gmres
 
 
-@njit(cache=True)
-def _dd_solve(mu, w, sigma_t, sigma_s, q_angular, length, n_cells, tol, max_iters):
-    """Source-iterated diamond-difference sweep.
+def _dd_sweep(mu, w, sigma_t, h, q):
+    """Diamond-difference sweep of every ordinate from vacuum boundaries.
 
-    Returns (center edge scalar flux, iterations used).  n_cells must be
-    even so the slab midplane is a mesh edge.
+    ``q`` is the isotropic angular source per cell.  Returns the cell
+    scalar flux and the scalar flux on the midplane edge (n_cells even).
+    """
+    n_cells = q.shape[0]
+    center = n_cells // 2
+    phi = np.zeros(n_cells)
+    phi_center = 0.0
+    for mu_m, w_m in zip(mu, w):
+        # psi_out = alpha * psi_in + beta * q_i along the sweep direction.
+        a = abs(mu_m) / h
+        alpha = (a - 0.5 * sigma_t) / (a + 0.5 * sigma_t)
+        beta = 1.0 / (a + 0.5 * sigma_t)
+        if mu_m > 0.0:
+            out = lfilter([beta], [1.0, -alpha], q)
+            inc = np.concatenate(([0.0], out[:-1]))
+            phi_center += w_m * out[center - 1]
+        else:
+            out = lfilter([beta], [1.0, -alpha], q[::-1])[::-1]
+            inc = np.concatenate((out[1:], [0.0]))
+            phi_center += w_m * out[center]
+        phi += w_m * 0.5 * (inc + out)
+    return phi, phi_center
+
+
+def _dd_solve(mu, w, sigma_t, sigma_s, q_angular, length, n_cells, tol):
+    """Diamond-difference system solved for the scattering source.
+
+    The cell fluxes solve (I - S) phi = b, where S sweeps the scattering
+    source 0.5 * sigma_s * phi and b sweeps the fixed source.  Returns
+    (center edge scalar flux, GMRES info).  n_cells must be even so the
+    slab midplane is a mesh edge.
     """
     h = length / n_cells
-    n_ang = mu.shape[0]
-    phi = np.zeros(n_cells)
-    phi_new = np.zeros(n_cells)
-    center = n_cells // 2
 
-    iters = 0
-    while iters < max_iters:
-        iters += 1
-        for i in range(n_cells):
-            phi_new[i] = 0.0
-        for m in range(n_ang):
-            mu_m = mu[m]
-            if mu_m > 0.0:
-                a = mu_m / h
-                psi_in = 0.0
-                for i in range(n_cells):
-                    q = 0.5 * (sigma_s * phi[i] + q_angular)
-                    psi_out = ((a - 0.5 * sigma_t) * psi_in + q) / (a + 0.5 * sigma_t)
-                    phi_new[i] += w[m] * 0.5 * (psi_in + psi_out)
-                    psi_in = psi_out
-            else:
-                a = -mu_m / h
-                psi_in = 0.0
-                for i in range(n_cells - 1, -1, -1):
-                    q = 0.5 * (sigma_s * phi[i] + q_angular)
-                    psi_out = ((a - 0.5 * sigma_t) * psi_in + q) / (a + 0.5 * sigma_t)
-                    phi_new[i] += w[m] * 0.5 * (psi_in + psi_out)
-                    psi_in = psi_out
-        delta = 0.0
-        scale = 1.0
-        for i in range(n_cells):
-            d = abs(phi_new[i] - phi[i])
-            if d > delta:
-                delta = d
-            if abs(phi_new[i]) > scale:
-                scale = abs(phi_new[i])
-            phi[i] = phi_new[i]
-        if delta < tol * scale:
-            break
+    def scattered(phi):
+        return phi - _dd_sweep(mu, w, sigma_t, h, 0.5 * sigma_s * phi)[0]
 
-    # One more sweep records the angular fluxes crossing the midplane edge.
-    phi_center = 0.0
-    for m in range(n_ang):
-        mu_m = mu[m]
-        if mu_m > 0.0:
-            a = mu_m / h
-            psi_in = 0.0
-            for i in range(center):
-                q = 0.5 * (sigma_s * phi[i] + q_angular)
-                psi_in = ((a - 0.5 * sigma_t) * psi_in + q) / (a + 0.5 * sigma_t)
-            phi_center += w[m] * psi_in
-        else:
-            a = -mu_m / h
-            psi_in = 0.0
-            for i in range(n_cells - 1, center - 1, -1):
-                q = 0.5 * (sigma_s * phi[i] + q_angular)
-                psi_in = ((a - 0.5 * sigma_t) * psi_in + q) / (a + 0.5 * sigma_t)
-            phi_center += w[m] * psi_in
-    return phi_center, iters
+    b = _dd_sweep(mu, w, sigma_t, h, np.full(n_cells, 0.5 * q_angular))[0]
+    operator = LinearOperator((n_cells, n_cells), matvec=scattered,
+                              dtype=np.float64)
+    phi, info = gmres(operator, b, rtol=tol, atol=0.0, restart=100,
+                      maxiter=100)
+    q = 0.5 * (sigma_s * phi + q_angular)
+    return _dd_sweep(mu, w, sigma_t, h, q)[1], info
 
 
 def dd_center_flux(c, width, order, n_cells, sigma_t=1.0, source=1.0,
-                   tol=1e-13, max_iters=200_000):
+                   tol=1e-13):
     """Center scalar flux from one diamond-difference solve."""
     mu, w = np.polynomial.legendre.leggauss(order)
-    length = width / sigma_t
-    value, iters = _dd_solve(mu, w, float(sigma_t), float(c * sigma_t),
-                             float(source), float(length), int(n_cells),
-                             float(tol), int(max_iters))
-    if iters >= max_iters:
-        raise RuntimeError(f"diamond difference did not converge in {max_iters} "
-                           f"iterations (c={c}, width={width}, N={order})")
+    value, info = _dd_solve(mu, w, float(sigma_t), float(c * sigma_t),
+                            float(source), float(width / sigma_t),
+                            int(n_cells), float(tol))
+    if info != 0:
+        raise RuntimeError(f"diamond difference: GMRES did not converge "
+                           f"(info={info}, c={c}, width={width}, N={order})")
     return value
 
 

@@ -17,7 +17,14 @@ from txaccel.evolution import (
 )
 from txaccel.kernels import compile_formula
 from txaccel.sequences import Sequence, Window
-from txaccel.trees import Formula, Node, eval_formula, parse, serialize
+from txaccel.trees import (
+    Formula,
+    Node,
+    eval_formula,
+    formula_node_count,
+    parse,
+    serialize,
+)
 
 ORDERS = (20, 28, 36, 44, 52)
 
@@ -100,27 +107,54 @@ class TestFitness:
         evaluator = FitnessEvaluator(train, ORDERS)
         assert evaluator.comparisons == 840
 
-    def test_matches_accelerator_route(self, mini24):
-        # The kernel-based fitness and the per-window accelerator path
-        # must agree on the win count.
+    @staticmethod
+    def accelerator_route_fitness(f, sequences, orders):
+        """Win fraction through the per-window accelerator path."""
         from txaccel.accelerators import Accelerator, apply_accelerator
         from txaccel.sequences import relative_error, success_at
 
-        f = parse("(formula :p 0.5 :num (sub (mul Sn (d2)) (sq (sub Sn Snm1)))"
-                  " :den (d2))")
-        evaluator = FitnessEvaluator(mini24, ORDERS)
-        fast = evaluator.fitness(f)
-
         acc = Accelerator("f", lambda w: eval_formula(f, w))
         wins = 0
-        for seq in mini24:
-            result = apply_accelerator(acc, seq, ORDERS)
-            for j, order in enumerate(ORDERS):
+        for seq in sequences:
+            result = apply_accelerator(acc, seq, orders)
+            for j, order in enumerate(orders):
                 i = seq.orders.index(order)
                 raw = relative_error(seq.values[i], seq.values[i - 1])
                 if success_at(result.errors[j], raw):
                     wins += 1
-        assert fast == wins / evaluator.comparisons
+        return wins / (len(sequences) * len(orders))
+
+    def test_matches_accelerator_route(self, mini24):
+        # The kernel-based fitness and the per-window accelerator path
+        # must agree on the win count.
+        f = parse("(formula :p 0.5 :num (sub (mul Sn (d2)) (sq (sub Sn Snm1)))"
+                  " :den (d2))")
+        fast = FitnessEvaluator(mini24, ORDERS).fitness(f)
+        assert fast == self.accelerator_route_fitness(f, mini24, ORDERS)
+
+    def test_adjacent_orders_and_tiny_values_match_accelerator_route(self, mini24):
+        # Adjacent orders put one window behind two comparisons (as the
+        # current term of one and the previous term of the next).  The
+        # last sequence is arithmetic at 2**-960 with steps of 2**-1010,
+        # so Snm2 - Snm3 is the same value below TINY_DENOMINATOR at every
+        # position: its relative error reads 0 and must count as a loss.
+        orders = (20, 24, 28)
+        tiny = Sequence(id="tiny", c=0.5, width_mfp=1.0,
+                        orders=tuple(range(4, 53, 4)),
+                        values=2.0 ** -960 + np.arange(13) * 2.0 ** -1010)
+        sequences = list(mini24) + [tiny]
+        evaluator = FitnessEvaluator(sequences, orders)
+        step = parse("(formula :p 1.0 :num (mul p (sub Snm2 Snm3)) :den 1.0)")
+        assert FitnessEvaluator([tiny], orders).fitness(step) == 0.0
+        for f in (step,
+                  parse("(formula :p 0.5 :num (sub (mul Sn (d2)) (sq (sub Sn Snm1)))"
+                        " :den (d2))"),
+                  parse("(formula :p 0.3 :num (add Sn (mul p (sub Sn Snm1)))"
+                        " :den 1.0)")):
+            route = self.accelerator_route_fitness(f, sequences, orders)
+            assert evaluator.fitness(f) == route
+            assert evaluator.fitness_program(compile_formula(f),
+                                             np.array([f.p]))[0] == route
 
     def test_vector_of_p_matches_scalar_calls(self):
         evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
@@ -284,6 +318,22 @@ class TestEvolve:
         assert report.generations == 6
         assert 0.0 <= report.train_fitness <= 1.0
         assert 0.0 <= report.validation_fitness <= 1.0
+
+    def test_tree_sizes_counted_once_per_population(self, monkeypatch):
+        from txaccel import evolution
+
+        counted = []
+
+        def counting(f):
+            counted.append(f)
+            return formula_node_count(f)
+
+        monkeypatch.setattr(evolution, "formula_node_count", counting)
+        config = EvolutionConfig(population_size=8, max_generations=4,
+                                 rng_seed=2, target_fitness=1.0)
+        report = evolve(config, geometric_training_set(8, seed=1), [])
+        assert report.generations == 4
+        assert len(counted) == 8 * (report.generations + 1)
 
     def test_generation_zero_contains_seeded_formula(self):
         # The first individual reproduces the delta-squared rule.

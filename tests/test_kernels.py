@@ -7,7 +7,15 @@ from txaccel import kernels
 from txaccel.errors import InvalidArgumentError
 from txaccel.kernels import compile_formula, evaluate_formula_batch
 from txaccel.sequences import Window
-from txaccel.trees import Formula, Node, eval_formula, random_formula
+from txaccel.trees import (
+    CLAMP,
+    DIV_GUARD,
+    Formula,
+    Node,
+    eval_formula,
+    parse,
+    random_formula,
+)
 
 
 def random_windows(rng, n, lo=1e-8, hi=1e8):
@@ -36,6 +44,62 @@ def test_numpy_backend_matches_scalar_reference_bitwise():
             g = replace(f, p=float(p))
             for i in range(windows.shape[0]):
                 assert rows[j, i] == eval_formula(g, Window(*windows[i]))
+
+
+def extreme_windows(rng, n):
+    """Windows whose terms are exact zeros, below DIV_GUARD, near 1 or near
+    the top of the float range, with random signs."""
+    scales = rng.choice([0.0, 1e-300, 3e-11, 1.0, 1e150, 1e300, 1.7e308], (n, 4))
+    return scales * rng.uniform(0.5, 1.0, (n, 4)) * rng.choice([-1.0, 1.0], (n, 4))
+
+
+def assert_bitwise_rows(f, windows, ps):
+    """Every kernel row equals eval_formula bit for bit, for f.p and ps."""
+    def scalar(g):
+        return np.array([eval_formula(g, Window(*w)) for w in windows])
+
+    single = evaluate_formula_batch(f, windows)
+    assert np.array_equal(single.view(np.uint64), scalar(f).view(np.uint64))
+    rows = evaluate_formula_batch(f, windows, ps)
+    expected = np.array([scalar(replace(f, p=float(p))) for p in ps])
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+
+# One formula per rare branch: overflowing add, sub and div, clamped mul
+# and sq, and the protected div.
+BRANCH_FORMULAS = (
+    "(formula :p 1.5 :num (add Sn Snm1) :den (add Snm2 p))",
+    "(formula :p 1.5 :num (sub Sn Snm1) :den (sub p Snm3))",
+    "(formula :p 1.5 :num (div Sn Snm1) :den (div Snm2 p))",
+    "(formula :p 1.5 :num (mul Sn Snm1) :den (mul p Snm3))",
+    "(formula :p 1.5 :num (sq Sn) :den (sq (sub Snm1 p)))",
+    "(formula :p 1.5 :num (add (sq Sn) (mul Snm2 p)) :den (d2))",
+)
+
+EXTREME_PS = np.array([1.5, 0.0, -0.0, 1e-12, -1e-300, 2.0, -1e160, 1e300,
+                       -1.7e308])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_windows_match_scalar_reference_bitwise():
+    rng = np.random.default_rng(46)
+    windows = extreme_windows(rng, 400)
+    sn, snm1 = windows[:, 0], windows[:, 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # The windows reach every rare branch of the kernel.
+        assert np.isinf(sn + snm1).any() and np.isinf(sn - snm1).any()
+        assert np.isinf(sn / snm1).any()
+        big_sums = np.abs(sn + snm1)
+        assert ((big_sums > CLAMP) & np.isfinite(big_sums)).any()
+        assert (np.abs(sn * snm1) > CLAMP).any()
+        assert (snm1 == 0.0).any()
+        assert ((np.abs(snm1) < DIV_GUARD) & (snm1 != 0.0)).any()
+    for text in BRANCH_FORMULAS:
+        assert_bitwise_rows(parse(text), windows, EXTREME_PS)
+    for trial in range(100):
+        f = random_formula(4, "grow" if trial % 2 else "full", rng,
+                           p=float(rng.choice(EXTREME_PS)))
+        assert_bitwise_rows(f, extreme_windows(rng, 24), EXTREME_PS)
 
 
 def test_outputs_always_finite():
