@@ -125,7 +125,7 @@ def _eval_program(code, consts, columns, p_column):
         elif op == OP_CONST:
             stack.append(consts[k:k + 1])
         elif op == OP_D2:
-            stack.append(columns[0] - 2.0 * columns[1] + columns[2])
+            stack.append(_clamp_overflow(columns[0] - 2.0 * columns[1] + columns[2]))
         elif op == OP_SQ:
             a = stack.pop()
             v = np.multiply(a, a, out=a if a.flags.owndata else None)

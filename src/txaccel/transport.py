@@ -3,24 +3,28 @@ isotropically scattering slab with a uniform source and vacuum boundaries.
 
 The angle-discretized system
     mu_m dpsi_m/dx + sigma_t psi_m = (sigma_s / 2) sum_j w_j psi_j + Q/2
-is solved exactly in space: eigen-decomposition of the first-order system
-matrix gives the homogeneous modes, the particular solution is the
-constant Q / (2 sigma_t (1 - c)) in every direction, and the vacuum
-boundary conditions fix the modal coefficients.  The only discretization
-is angular, so sweeping the quadrature order N yields clean convergence
-sequences of the center scalar flux phi(L/2) = sum_m w_m psi_m(L/2).
+is solved exactly in space by the half-range analytical discrete-ordinates
+(ADO) method (Barichello & Siewert, JQSRT 62 (1999) 665).  The symmetric
+Gauss-Legendre quadrature pairs each direction mu with -mu, so the
+homogeneous modes psi(x, +-mu) = Phi+-(nu, mu) exp(-x / nu) come from a
+symmetric positive-definite eigenproblem of size N/2 on the positive
+nodes; the particular solution is the constant Q / (2 sigma_t (1 - c)) in
+every direction.  The only discretization is angular, so sweeping the
+quadrature order N yields clean convergence sequences of the center
+scalar flux phi(L/2) = sum_m w_m psi_m(L/2).
 
 The uniform isotropic source Q is a total emission density; each
 direction receives Q/2, which makes the infinite-medium scalar flux
 Q / (sigma_t (1 - c)).
 
-Growing eigenmodes are anchored at the far face (their coefficients
-multiply exp(lambda (x - L))) so every exponential stays <= 1 in
-magnitude regardless of slab thickness.
+The slab is mirror symmetric about its center, so the modes decaying from
+the far face carry the same coefficients as those decaying from the near
+face, and the vacuum condition at x = 0 alone is an N/2 x N/2 system.  Every
+exponential is exp(-distance / nu) <= 1 whatever the slab thickness.
 
 The eigenmodes depend only on (N, sigma_t, c), not on the slab width, so
 they are computed once per c and shared by every width of that c; the
-boundary system, its conditioning check and the symmetry check stay per
+boundary system, its conditioning check and the rounding bound stay per
 solve.
 """
 
@@ -44,8 +48,9 @@ MAX_SN_ORDER = 64
 #: Boundary systems with a condition number above this abort the solve.
 MAX_BOUNDARY_CONDITION = 1e12
 
-_EIG_TOL = 1e-10
-_SYMMETRY_TOL = 1e-10
+#: Largest accepted bound on the center flux's relative rounding error.
+_ROUNDING_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 #: Eigenmode sets kept for reuse.  Grids are solved c-major, so this holds
 #: every order of one c with room to spare.
@@ -91,95 +96,36 @@ class SnSolution:
 
 @lru_cache(maxsize=_EIGENMODE_CACHE_SIZE)
 def _eigenmodes(order: int, sigma_t: float, c: float):
-    """Quadrature nodes and weights and the real eigenvalues and
-    eigenvectors of the angle-discretized system matrix, all read-only.
+    """Half-range eigenmodes of the angle-discretized system, read-only.
 
-    They do not depend on the slab width, so every width of one
-    (order, sigma_t, c) shares one eigen-solve.  Raises
-    NumericalFailureError (with order and c, but no width) on complex or
-    unpaired eigenvalues; a raised error is not cached.
+    Returns the decay lengths nu (n = order/2 of them), the mode values
+    Phi+ and Phi- on the n positive nodes (one column per mode) and each
+    mode's weighted sum w . U, where U = Phi+ + Phi-.  They do not depend
+    on the slab width, so every width of one (order, sigma_t, c) shares one
+    eigen-solve.  Raises NumericalFailureError (with order and c, but no
+    width) if an eigenvalue is not positive; a raised error is not cached.
     """
     quad = gauss_legendre(order)
-    mu, w = quad.nodes, quad.weights
-    sigma_s = c * sigma_t
-
-    m_matrix = (-sigma_t * np.eye(order) + 0.5 * sigma_s * np.outer(
-        np.ones(order), w)) / mu[:, None]
-    eigvals, eigvecs = np.linalg.eig(m_matrix)
-
-    imag_residual = float(np.max(np.abs(np.imag(eigvals))))
-    if imag_residual > _EIG_TOL:
+    half = order // 2
+    mu, w = quad.nodes[half:], quad.weights[half:]
+    root_w = np.sqrt(w)
+    v = mu * root_w
+    # Symmetric positive definite: diag(mu^2) plus a non-negative rank-one
+    # term, so no entry cancels even as c -> 1.  Eigenvalues (sigma_t nu)^2.
+    eta, y = np.linalg.eigh(np.diag(mu * mu) + (c / (1.0 - c)) * np.outer(v, v))
+    eta_min = float(np.min(eta))
+    if not eta_min > 0.0:
         raise NumericalFailureError(
-            f"complex eigenvalues (imaginary residual {imag_residual:.3e})",
-            {"imag_residual": imag_residual, "order": order, "c": c},
+            f"half-range eigenvalue {eta_min:.3e} is not positive",
+            {"eta_min": eta_min, "order": order, "c": c},
         )
-    lam = np.real(eigvals)
-    vecs = np.real(eigvecs)
-
-    # Symmetric quadrature makes the spectrum come in +- pairs.
-    lam_sorted = np.sort(lam)
-    pairing = float(np.max(np.abs(lam_sorted + lam_sorted[::-1])))
-    if pairing > _EIG_TOL * max(1.0, float(np.max(np.abs(lam)))):
-        raise NumericalFailureError(
-            f"eigenvalues not paired +- (residual {pairing:.3e})",
-            {"pairing_residual": pairing, "order": order, "c": c},
-        )
-    lam.flags.writeable = False
-    vecs.flags.writeable = False
-    return mu, w, lam, vecs
-
-
-class _ModalSolution:
-    """Eigen-expansion of one solve, able to evaluate phi anywhere."""
-
-    def __init__(self, problem: SlabProblem, order: int):
-        sigma_t = problem.sigma_t
-        sigma_s = problem.scattering_ratio * sigma_t
-        length = problem.width / sigma_t  # width given in mean free paths
-        try:
-            mu, w, lam, vecs = _eigenmodes(order, float(sigma_t),
-                                           float(problem.scattering_ratio))
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(
-                str(exc), dict(exc.diagnostics, width=problem.width)) from exc
-
-        psi_particular = 0.5 * problem.source / (sigma_t - sigma_s)
-
-        # Vacuum boundaries: incoming flux zero on both faces.  Decaying
-        # modes are anchored at x=0, growing modes at x=L.
-        boundary = np.empty((order, order))
-        rhs = np.full(order, -psi_particular)
-        # Select exponents before exponentiating; all arguments are <= 0.
-        e_left = np.exp(np.where(lam < 0.0, 0.0, -lam * length))
-        e_right = np.exp(np.where(lam < 0.0, lam * length, 0.0))
-        incoming_left = mu > 0.0
-        boundary[incoming_left] = vecs[incoming_left] * e_left
-        boundary[~incoming_left] = vecs[~incoming_left] * e_right
-
-        condition = float(np.linalg.cond(boundary))
-        if not np.isfinite(condition) or condition > MAX_BOUNDARY_CONDITION:
-            raise NumericalFailureError(
-                f"boundary system condition number {condition:.3e} exceeds "
-                f"{MAX_BOUNDARY_CONDITION:.0e}",
-                {"condition": condition, "order": order,
-                 "c": problem.scattering_ratio, "width": problem.width},
-            )
-        coeff = np.linalg.solve(boundary, rhs)
-
-        self.problem = problem
-        self.order = order
-        self.weights = w
-        self.lam = lam
-        self.vecs = vecs
-        self.coeff = coeff
-        self.length = length
-        self.psi_particular = psi_particular
-
-    def scalar_flux(self, x: float) -> float:
-        modal = np.exp(np.where(self.lam < 0.0, self.lam * x,
-                                self.lam * (x - self.length)))
-        psi = self.vecs @ (self.coeff * modal) + self.psi_particular
-        return float(self.weights @ psi)
+    sigma_nu = np.sqrt(eta)
+    u = y / (root_w * mu)[:, None]
+    odd = mu[:, None] * u / sigma_nu
+    modes = (sigma_nu / sigma_t, 0.5 * (u + odd), 0.5 * (u - odd), w @ u)
+    for array in modes:
+        array.flags.writeable = False
+    return modes
 
 
 def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
@@ -187,9 +133,9 @@ def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
 
     Raises InvalidArgumentError for unsupported orders,
     UnsupportedProblemError for c >= 1 (at problem construction), and
-    NumericalFailureError when an internal self-check trips
-    (complex/unpaired eigenvalues, ill-conditioned boundary system,
-    broken left-right symmetry).
+    NumericalFailureError when an internal self-check trips (a
+    non-positive eigenvalue, an ill-conditioned boundary system, or a
+    rounding error bound above 1e-10 relative to the center flux).
     """
     if not isinstance(order, (int, np.integer)) or order % 2 != 0 or not (
             MIN_SN_ORDER <= order <= MAX_SN_ORDER):
@@ -197,24 +143,45 @@ def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
             f"order must be even and in [{MIN_SN_ORDER}, {MAX_SN_ORDER}], "
             f"got {order}"
         )
-    modal = _ModalSolution(problem, int(order))
-    half = modal.length / 2.0
-    center = modal.scalar_flux(half)
-
-    # The problem is mirror symmetric about the center plane.
-    delta = modal.length / 100.0
-    left = modal.scalar_flux(half - delta)
-    right = modal.scalar_flux(half + delta)
-    asymmetry = abs(left - right) / max(1.0, abs(left), abs(right))
-    if asymmetry > _SYMMETRY_TOL:
+    order = int(order)
+    sigma_t = problem.sigma_t
+    c = problem.scattering_ratio
+    length = problem.width / sigma_t  # width given in mean free paths
+    try:
+        nu, phi_plus, phi_minus, w_u = _eigenmodes(order, float(sigma_t), float(c))
+    except NumericalFailureError as exc:
         raise NumericalFailureError(
-            f"center symmetry self-check failed (relative asymmetry "
-            f"{asymmetry:.3e})",
-            {"asymmetry": asymmetry, "order": order,
-             "c": problem.scattering_ratio, "width": problem.width},
+            str(exc), dict(exc.diagnostics, width=problem.width)) from exc
+    psi_particular = 0.5 * problem.source / (sigma_t - c * sigma_t)
+
+    # Mirror symmetry: the far-face coefficients equal the near-face ones,
+    # so the vacuum condition at x = 0 alone fixes them.
+    boundary = phi_plus + phi_minus * np.exp(-length / nu)
+    condition = float(np.linalg.cond(boundary))
+    if not np.isfinite(condition) or condition > MAX_BOUNDARY_CONDITION:
+        raise NumericalFailureError(
+            f"boundary system condition number {condition:.3e} exceeds "
+            f"{MAX_BOUNDARY_CONDITION:.0e}",
+            {"condition": condition, "order": order, "c": c,
+             "width": problem.width},
         )
-    return SnSolution(problem=problem, order=int(order),
-                      center_scalar_flux=center)
+    coeff = np.linalg.solve(boundary, np.full(order // 2, -psi_particular))
+    center = 2.0 * psi_particular + 2.0 * (
+        w_u @ (coeff * np.exp(-0.5 * length / nu)))
+
+    # The solve's rounding error, up to cond * eps relative to the
+    # particular flux 2 psi_p, as a share of the center flux it cancels to.
+    error_bound = float(condition * _EPS * 2.0 * psi_particular / abs(center)
+                        if psi_particular else 0.0)
+    if not error_bound <= _ROUNDING_TOL:
+        raise NumericalFailureError(
+            f"rounding error bound {error_bound:.3e} of the center flux "
+            f"exceeds {_ROUNDING_TOL:.0e}",
+            {"error_bound": error_bound, "condition": condition,
+             "order": order, "c": c, "width": problem.width},
+        )
+    return SnSolution(problem=problem, order=order,
+                      center_scalar_flux=float(center))
 
 
 def generate_sequence(problem: SlabProblem, orders, seq_id: str = "seq") -> Sequence:

@@ -167,7 +167,7 @@ def eval_tree(node: Node, window: Window, p: float) -> float:
     if kind == "const":
         return float(node.value)
     if kind == "d2":
-        return window[0] - 2.0 * window[1] + window[2]
+        return _guard_overflow(window[0] - 2.0 * window[1] + window[2])
     if kind == "sq":
         a = eval_tree(node.children[0], window, p)
         v = a * a

@@ -65,8 +65,8 @@ def assert_bitwise_rows(f, windows, ps):
     assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
 
-# One formula per rare branch: overflowing add, sub and div, clamped mul
-# and sq, and the protected div.
+# One formula per rare branch: overflowing add, sub, div and d2, clamped
+# mul and sq, and the protected div.
 BRANCH_FORMULAS = (
     "(formula :p 1.5 :num (add Sn Snm1) :den (add Snm2 p))",
     "(formula :p 1.5 :num (sub Sn Snm1) :den (sub p Snm3))",
@@ -74,6 +74,7 @@ BRANCH_FORMULAS = (
     "(formula :p 1.5 :num (mul Sn Snm1) :den (mul p Snm3))",
     "(formula :p 1.5 :num (sq Sn) :den (sq (sub Snm1 p)))",
     "(formula :p 1.5 :num (add (sq Sn) (mul Snm2 p)) :den (d2))",
+    "(formula :p 1.5 :num (sub (d2) (d2)) :den (add (d2) p))",
 )
 
 EXTREME_PS = np.array([1.5, 0.0, -0.0, 1e-12, -1e-300, 2.0, -1e160, 1e300,
@@ -84,10 +85,11 @@ EXTREME_PS = np.array([1.5, 0.0, -0.0, 1e-12, -1e-300, 2.0, -1e160, 1e300,
 def test_extreme_windows_match_scalar_reference_bitwise():
     rng = np.random.default_rng(46)
     windows = extreme_windows(rng, 400)
-    sn, snm1 = windows[:, 0], windows[:, 1]
+    sn, snm1, snm2 = windows[:, 0], windows[:, 1], windows[:, 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # The windows reach every rare branch of the kernel.
         assert np.isinf(sn + snm1).any() and np.isinf(sn - snm1).any()
+        assert np.isinf(sn - 2.0 * snm1 + snm2).any()
         assert np.isinf(sn / snm1).any()
         big_sums = np.abs(sn + snm1)
         assert ((big_sums > CLAMP) & np.isfinite(big_sums)).any()
@@ -100,6 +102,15 @@ def test_extreme_windows_match_scalar_reference_bitwise():
         f = random_formula(4, "grow" if trial % 2 else "full", rng,
                            p=float(rng.choice(EXTREME_PS)))
         assert_bitwise_rows(f, extreme_windows(rng, 24), EXTREME_PS)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_d2_is_clamped():
+    # d2 = 1e308 + 2e308 + 1e308 overflows; unguarded, inf - inf is nan.
+    f = parse("(formula :p 0 :num (sub (d2) (d2)) :den 1.0)")
+    window = (1e308, -1e308, 1e308, 0.0)
+    assert eval_formula(f, Window(*window)) == 0.0
+    assert evaluate_formula_batch(f, np.array([window]))[0] == 0.0
 
 
 def test_outputs_always_finite():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from txaccel.errors import (
     NumericalFailureError,
     UnsupportedProblemError,
 )
+from txaccel.sequences import load_dataset
 from txaccel.transport import (
     DatasetConfig,
     SlabProblem,
@@ -17,6 +20,9 @@ from txaccel.transport import (
     generate_sequence,
     solve_sn,
 )
+
+REFERENCE_DATASET = (Path(__file__).parents[1] / "perfbench" / "reference"
+                     / "dataset.csv")
 
 
 class TestInfiniteMediumLimits:
@@ -104,23 +110,60 @@ class TestErrors:
             solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), order)
 
     def test_numerical_failure_carries_diagnostics(self, monkeypatch):
-        def complex_eig(matrix):
+        def nonpositive_eigh(matrix):
             n = matrix.shape[0]
-            return (np.full(n, 1.0 + 1e-3j), np.eye(n, dtype=complex))
+            return np.zeros(n), np.eye(n)
 
         # An earlier test may have cached these eigenmodes, which would
-        # skip the patched eig.
+        # skip the patched eigh.
         transport_module._eigenmodes.cache_clear()
-        monkeypatch.setattr(transport_module.np.linalg, "eig", complex_eig)
+        monkeypatch.setattr(transport_module.np.linalg, "eigh",
+                            nonpositive_eigh)
         with pytest.raises(NumericalFailureError) as err:
             solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), 4)
         assert err.value.diagnostics["order"] == 4
+        assert err.value.diagnostics["c"] == 0.5
         assert err.value.diagnostics["width"] == 1.0
-        assert "imag" in str(err.value)
+        assert err.value.diagnostics["eta_min"] == 0.0
+        assert "not positive" in str(err.value)
 
         # Sequence generation annotates the failing order.
         with pytest.raises(NumericalFailureError, match="order 4"):
             generate_sequence(SlabProblem(scattering_ratio=0.5, width=1.0), [4])
+
+    def test_rounding_bound_rejects_thin_near_critical_slab(self):
+        # 2 psi_p = 1e6 cancels to a center flux near 0.1, so the boundary
+        # solve's rounding (cond * eps * 2 psi_p) is about 5e-8 of it.
+        problem = SlabProblem(scattering_ratio=0.999999, width=0.05)
+        with pytest.raises(NumericalFailureError, match="rounding") as err:
+            solve_sn(problem, 64)
+        diagnostics = err.value.diagnostics
+        assert 1e-8 < diagnostics["error_bound"] < 1e-7
+        assert 1.0 < diagnostics["condition"] < 100.0
+        assert (diagnostics["order"], diagnostics["c"],
+                diagnostics["width"]) == (64, 0.999999, 0.05)
+
+
+class TestAccuracy:
+    def test_matches_forty_digit_solution(self):
+        # The same half-range solve at 40 significant digits with mpmath:
+        # Gauss-Legendre nodes refined by findroot on P_32 from the double
+        # nodes, weights 2 / ((1 - mu^2) P_32'(mu)^2), eigsy on the
+        # symmetric matrix, lu_solve on the boundary system.
+        exact = 15.12881379408760057926833
+        got = solve_sn(SlabProblem(scattering_ratio=0.999, width=5.0),
+                       32).center_scalar_flux
+        assert abs(got - exact) < 2e-13 * exact
+
+    def test_default_grid_matches_stored_reference(self, dataset240):
+        # The pipeline benchmark rejects values more than 1e-12 relative
+        # from this file; it was made by an earlier version of the solver.
+        rows = load_dataset(REFERENCE_DATASET)
+        assert [(s.id, s.c, s.width_mfp, s.orders) for s in rows] == [
+            (s.id, s.c, s.width_mfp, s.orders) for s in dataset240]
+        for got, want in zip(dataset240, rows):
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                       atol=0.0, err_msg=got.id)
 
 
 class TestGenerateSequence:
@@ -214,8 +257,8 @@ class TestDataset:
                 assert np.array_equal(grid[case], values), case
 
     def test_eigenmodes_are_read_only(self):
-        *_, lam, vecs = transport_module._eigenmodes(8, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            lam[0] = 0.0
-        with pytest.raises(ValueError):
-            vecs[0, 0] = 0.0
+        modes = transport_module._eigenmodes(8, 1.0, 0.5)
+        assert len(modes) == 4
+        for array in modes:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
