@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .accelerators import apply_accelerator
+from .errors import InvalidArgumentError
 from .sequences import Sequence, relative_error, success_at
 
 #: Published reference success rates (percent) for the three methods on
@@ -72,8 +73,10 @@ def run_benchmark(sequences, methods, orders, bins: int = 10,
     """Score every method on every (sequence, order) pair.
 
     The success grid uses ``bins`` equal-width scattering-ratio bins over
-    [0, 1].
+    [0, 1]; raises InvalidArgumentError for ``bins`` < 1.
     """
+    if bins < 1:
+        raise InvalidArgumentError(f"bins must be >= 1, got {bins}")
     sequences = list(sequences)
     methods = list(methods)
     orders = tuple(int(n) for n in orders)

@@ -82,6 +82,8 @@ def _write_manifest(directory, command, settings, duration):
 def cmd_generate(args):
     started = time.perf_counter()
     seed = _resolve_seed(args.seed)
+    if args.n_step < 1:
+        raise InvalidArgumentError(f"--n-step must be >= 1, got {args.n_step}")
     config = DatasetConfig(
         c_min=args.c_min, c_max=args.c_max, c_count=args.c_count,
         widths=tuple(args.widths),

@@ -22,14 +22,17 @@ the far face carry the same coefficients as those decaying from the near
 face, and the vacuum condition at x = 0 alone is an N/2 x N/2 system.  Every
 exponential is exp(-distance / nu) <= 1 whatever the slab thickness.
 
-The eigenmodes depend only on (N, sigma_t, c), not on the slab width, so
-they are computed once per c and shared by every width of that c; the
-boundary system, its conditioning check and the rounding bound stay per
-solve.
+There is one solve path, `_center_fluxes`, which takes one order and a
+list of c values and widths.  The eigenmodes depend only on (N, sigma_t,
+c), so one stacked `eigh` covers every c of the order; each width is then
+one stacked boundary system over every c, with its condition numbers,
+solve and center fluxes computed for the whole stack.  A grid therefore
+solves each (N, c) eigenproblem exactly once, and `solve_sn` is the case
+of one c and one width.  The self-checks (a positive eigenvalue, a bounded
+condition number and a bounded rounding error) hold for every solve.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,10 +54,6 @@ MAX_BOUNDARY_CONDITION = 1e12
 #: Largest accepted bound on the center flux's relative rounding error.
 _ROUNDING_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-
-#: Eigenmode sets kept for reuse.  Grids are solved c-major, so this holds
-#: every order of one c with room to spare.
-_EIGENMODE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -94,38 +93,111 @@ class SnSolution:
     center_scalar_flux: float
 
 
-@lru_cache(maxsize=_EIGENMODE_CACHE_SIZE)
-def _eigenmodes(order: int, sigma_t: float, c: float):
-    """Half-range eigenmodes of the angle-discretized system, read-only.
+def _check_order(order):
+    if not isinstance(order, (int, np.integer)) or order % 2 != 0 or not (
+            MIN_SN_ORDER <= order <= MAX_SN_ORDER):
+        raise InvalidArgumentError(
+            f"order must be even and in [{MIN_SN_ORDER}, {MAX_SN_ORDER}], "
+            f"got {order}"
+        )
 
-    Returns the decay lengths nu (n = order/2 of them), the mode values
-    Phi+ and Phi- on the n positive nodes (one column per mode) and each
-    mode's weighted sum w . U, where U = Phi+ + Phi-.  They do not depend
-    on the slab width, so every width of one (order, sigma_t, c) shares one
-    eigen-solve.  Raises NumericalFailureError (with order and c, but no
-    width) if an eigenvalue is not positive; a raised error is not cached.
+
+def _first_failure(passed):
+    """Index of the first False in a boolean array, or None."""
+    failed = np.flatnonzero(~passed)
+    return int(failed[0]) if failed.size else None
+
+
+def _center_fluxes(order, sigma_t, cs, widths, source):
+    """Center fluxes of one quadrature order: a (C, W) array over the
+    scattering ratios cs and the widths (in mean free paths).
+
+    One eigen-solve covers every c; each width is one stacked boundary
+    solve over every c.  Raises NumericalFailureError, with order, c and
+    width in its diagnostics, at the first self-check that trips: a
+    non-positive eigenvalue (reported with the first width); otherwise,
+    width by width and c by c, an ill-conditioned boundary system or a
+    rounding error bound above 1e-10 relative to the center flux.
     """
     quad = gauss_legendre(order)
     half = order // 2
     mu, w = quad.nodes[half:], quad.weights[half:]
     root_w = np.sqrt(w)
     v = mu * root_w
+    cs = np.asarray(cs, dtype=float)
     # Symmetric positive definite: diag(mu^2) plus a non-negative rank-one
     # term, so no entry cancels even as c -> 1.  Eigenvalues (sigma_t nu)^2.
-    eta, y = np.linalg.eigh(np.diag(mu * mu) + (c / (1.0 - c)) * np.outer(v, v))
-    eta_min = float(np.min(eta))
-    if not eta_min > 0.0:
+    matrix = (cs / (1.0 - cs))[:, None, None] * np.outer(v, v)
+    matrix += np.diag(mu * mu)
+    eta, u = np.linalg.eigh(matrix)
+    eta_min = eta.min(axis=1)
+    k = _first_failure(eta_min > 0.0)
+    if k is not None:
         raise NumericalFailureError(
-            f"half-range eigenvalue {eta_min:.3e} is not positive",
-            {"eta_min": eta_min, "order": order, "c": c},
+            f"half-range eigenvalue {eta_min[k]:.3e} is not positive",
+            {"eta_min": float(eta_min[k]), "order": order, "c": float(cs[k]),
+             "width": widths[0]},
         )
     sigma_nu = np.sqrt(eta)
-    u = y / (root_w * mu)[:, None]
-    odd = mu[:, None] * u / sigma_nu
-    modes = (sigma_nu / sigma_t, 0.5 * (u + odd), 0.5 * (u - odd), w @ u)
-    for array in modes:
-        array.flags.writeable = False
-    return modes
+    u /= (root_w * mu)[:, None]
+    odd = mu[:, None] * u
+    odd /= sigma_nu[:, None, :]
+    w_u = np.matmul(w, u)[:, None, :]
+    phi_plus = u + odd
+    phi_plus *= 0.5
+    phi_minus = u  # u is not read again
+    phi_minus -= odd
+    phi_minus *= 0.5
+    del matrix, odd  # the width loop reads neither; frees 2 stacks for it
+    nu = sigma_nu / sigma_t
+    psi_particular = 0.5 * source / (sigma_t - cs * sigma_t)
+
+    fluxes = np.empty((len(cs), len(widths)))
+    for j, width in enumerate(widths):
+        length = width / sigma_t
+        # Mirror symmetry: the far-face coefficients equal the near-face
+        # ones, so the vacuum condition at x = 0 alone fixes them.
+        boundary = phi_minus * np.exp(-length / nu)[:, None, :]
+        boundary += phi_plus
+        # 2-norm condition numbers of the whole stack: largest over
+        # smallest singular value, the formula numpy's cond uses.
+        s = np.linalg.svd(boundary, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condition = s[:, 0] / s[:, -1]
+        # One singular matrix fails a stacked solve as a whole, so solve
+        # only the c values before the first ill-conditioned system.
+        ill = _first_failure(condition <= MAX_BOUNDARY_CONDITION)
+        solved = len(cs) if ill is None else ill
+        psi = psi_particular[:solved]
+        coeff = np.linalg.solve(
+            boundary[:solved],
+            np.repeat(-psi[:, None, None], half, axis=1))
+        coeff *= np.exp(-0.5 * length / nu[:solved, :, None])
+        center = 2.0 * psi + 2.0 * np.matmul(w_u[:solved], coeff)[:, 0, 0]
+
+        # The solve's rounding error, up to cond * eps relative to the
+        # particular flux 2 psi_p, as a share of the center flux it
+        # cancels to.
+        error_bound = (condition[:solved] * _EPS * 2.0 * psi / np.abs(center)
+                       if source else np.zeros(solved))
+        k = _first_failure(error_bound <= _ROUNDING_TOL)
+        if k is not None:
+            raise NumericalFailureError(
+                f"rounding error bound {error_bound[k]:.3e} of the center "
+                f"flux exceeds {_ROUNDING_TOL:.0e}",
+                {"error_bound": float(error_bound[k]),
+                 "condition": float(condition[k]), "order": order,
+                 "c": float(cs[k]), "width": width},
+            )
+        if ill is not None:
+            raise NumericalFailureError(
+                f"boundary system condition number {condition[ill]:.3e} "
+                f"exceeds {MAX_BOUNDARY_CONDITION:.0e}",
+                {"condition": float(condition[ill]), "order": order,
+                 "c": float(cs[ill]), "width": width},
+            )
+        fluxes[:, j] = center
+    return fluxes
 
 
 def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
@@ -137,51 +209,18 @@ def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
     non-positive eigenvalue, an ill-conditioned boundary system, or a
     rounding error bound above 1e-10 relative to the center flux).
     """
-    if not isinstance(order, (int, np.integer)) or order % 2 != 0 or not (
-            MIN_SN_ORDER <= order <= MAX_SN_ORDER):
-        raise InvalidArgumentError(
-            f"order must be even and in [{MIN_SN_ORDER}, {MAX_SN_ORDER}], "
-            f"got {order}"
-        )
+    _check_order(order)
     order = int(order)
-    sigma_t = problem.sigma_t
-    c = problem.scattering_ratio
-    length = problem.width / sigma_t  # width given in mean free paths
-    try:
-        nu, phi_plus, phi_minus, w_u = _eigenmodes(order, float(sigma_t), float(c))
-    except NumericalFailureError as exc:
-        raise NumericalFailureError(
-            str(exc), dict(exc.diagnostics, width=problem.width)) from exc
-    psi_particular = 0.5 * problem.source / (sigma_t - c * sigma_t)
-
-    # Mirror symmetry: the far-face coefficients equal the near-face ones,
-    # so the vacuum condition at x = 0 alone fixes them.
-    boundary = phi_plus + phi_minus * np.exp(-length / nu)
-    condition = float(np.linalg.cond(boundary))
-    if not np.isfinite(condition) or condition > MAX_BOUNDARY_CONDITION:
-        raise NumericalFailureError(
-            f"boundary system condition number {condition:.3e} exceeds "
-            f"{MAX_BOUNDARY_CONDITION:.0e}",
-            {"condition": condition, "order": order, "c": c,
-             "width": problem.width},
-        )
-    coeff = np.linalg.solve(boundary, np.full(order // 2, -psi_particular))
-    center = 2.0 * psi_particular + 2.0 * (
-        w_u @ (coeff * np.exp(-0.5 * length / nu)))
-
-    # The solve's rounding error, up to cond * eps relative to the
-    # particular flux 2 psi_p, as a share of the center flux it cancels to.
-    error_bound = float(condition * _EPS * 2.0 * psi_particular / abs(center)
-                        if psi_particular else 0.0)
-    if not error_bound <= _ROUNDING_TOL:
-        raise NumericalFailureError(
-            f"rounding error bound {error_bound:.3e} of the center flux "
-            f"exceeds {_ROUNDING_TOL:.0e}",
-            {"error_bound": error_bound, "condition": condition,
-             "order": order, "c": c, "width": problem.width},
-        )
+    fluxes = _center_fluxes(order, problem.sigma_t, [problem.scattering_ratio],
+                            [problem.width], problem.source)
     return SnSolution(problem=problem, order=order,
-                      center_scalar_flux=float(center))
+                      center_scalar_flux=float(fluxes[0, 0]))
+
+
+def _at_order(exc, order):
+    """exc, annotated with the order whose solve raised it."""
+    return NumericalFailureError(
+        f"order {order}: {exc}", dict(exc.diagnostics, failing_order=order))
 
 
 def generate_sequence(problem: SlabProblem, orders, seq_id: str = "seq") -> Sequence:
@@ -194,9 +233,7 @@ def generate_sequence(problem: SlabProblem, orders, seq_id: str = "seq") -> Sequ
         try:
             values[i] = solve_sn(problem, order).center_scalar_flux
         except NumericalFailureError as exc:
-            raise NumericalFailureError(
-                f"order {order}: {exc}", dict(exc.diagnostics, failing_order=order)
-            ) from exc
+            raise _at_order(exc, order) from exc
     return Sequence(id=seq_id, c=problem.scattering_ratio,
                     width_mfp=problem.width, orders=orders, values=values)
 
@@ -241,6 +278,14 @@ class DatasetConfig:
             raise InvalidConfigError("widths must be positive and non-empty")
         if len(self.orders) == 0:
             raise InvalidConfigError("orders must be non-empty")
+        for order in self.orders:
+            _check_order(order)
+        if any(b <= a for a, b in zip(self.orders, self.orders[1:])):
+            raise InvalidArgumentError("orders must be strictly increasing")
+        if self.sigma_t <= 0.0:
+            raise InvalidArgumentError(f"sigma_t must be > 0, got {self.sigma_t}")
+        if self.source < 0.0:
+            raise InvalidArgumentError(f"source must be >= 0, got {self.source}")
 
     def c_values(self, rng_seed: int = 0) -> np.ndarray:
         grid = np.geomspace(self.c_min, self.c_max, self.c_count)
@@ -262,18 +307,22 @@ class DatasetConfig:
 def generate_grid(config: DatasetConfig, rng_seed: int = 0) -> list:
     """All sequences of the configured grid, in c-major order.
 
-    Solves run serially, one c at a time, so all widths of one c reuse
-    that c's eigenmodes.
+    Each order is one `_center_fluxes` call over every (c, width).  On a
+    numerical failure the error names the first failing solve by lowest
+    order, then width, then c, and carries its `failing_order`.
     """
-    sequences = []
-    for c in config.c_values(rng_seed):
-        for width in config.widths:
-            problem = SlabProblem(sigma_t=config.sigma_t,
-                                  scattering_ratio=float(c), width=width,
-                                  source=config.source)
-            sequences.append(generate_sequence(
-                problem, config.orders, seq_id=f"s{len(sequences):03d}"))
-    return sequences
+    cs = config.c_values(rng_seed)
+    columns = []
+    for order in config.orders:
+        try:
+            columns.append(_center_fluxes(order, config.sigma_t, cs,
+                                          config.widths, config.source))
+        except NumericalFailureError as exc:
+            raise _at_order(exc, order) from exc
+    values = np.stack(columns, axis=-1)  # (c, width, order)
+    return [Sequence(id=f"s{i * len(config.widths) + j:03d}", c=float(c),
+                     width_mfp=width, orders=config.orders, values=values[i, j])
+            for i, c in enumerate(cs) for j, width in enumerate(config.widths)]
 
 
 def generate_dataset(config: DatasetConfig = None, rng_seed: int = 0) -> list:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from txaccel.accelerators import (
     Accelerator,
@@ -13,6 +14,7 @@ from txaccel.benchmark import (
     write_grid_csv,
     write_totals_csv,
 )
+from txaccel.errors import InvalidArgumentError
 from txaccel.sequences import Sequence
 
 ORDERS = (20, 28, 36, 44, 52)
@@ -79,6 +81,12 @@ class TestRunBenchmark:
         entry = report.methods["aitken"]
         assert entry.grid_counts.shape == (len(ORDERS), 1)
         assert entry.grid_counts.sum() == len(mini24) * len(ORDERS)
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(InvalidArgumentError, match="bins must be >= 1"):
+            run_benchmark(geometric_sequences(2), [aitken_accelerator()],
+                          ORDERS, bins=bins)
 
 
 class TestReportFiles:

@@ -45,6 +45,19 @@ class TestGenerate:
         assert run("generate", "--out", str(tmp_path / "x.csv"),
                    "--c-count", "0", "--widths", "1") == 2
 
+    @pytest.mark.parametrize("step", ["0", "-4"])
+    def test_step_below_one_is_usage_error(self, tmp_path, capsys, step):
+        assert run("generate", "--out", str(tmp_path / "x.csv"),
+                   "--n-step", step) == 2
+        assert "--n-step must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orders", [
+        ["--n-min", "3"], ["--n-min", "2"], ["--n-max", "66", "--n-step", "2"]])
+    def test_unsupported_order_is_usage_error(self, tmp_path, capsys, orders):
+        assert run("generate", "--out", str(tmp_path / "x.csv"),
+                   "--c-count", "2", "--widths", "1", *orders) == 2
+        assert "order must be even" in capsys.readouterr().err
+
     def test_numerical_failure_prints_diagnostics(self, tmp_path, capsys,
                                                   monkeypatch):
         import txaccel.transport as transport_module
@@ -156,6 +169,11 @@ class TestEvaluate:
                    "--methods", "aitken", "--out", str(out)) == 0
         lines = (out / "grid.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
+
+    def test_zero_bins_is_usage_error(self, tiny_dataset, tmp_path, capsys):
+        assert run("evaluate", "--data", str(tiny_dataset), "--bins", "0",
+                   "--out", str(tmp_path / "b0")) == 2
+        assert "bins must be >= 1" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tiny_dataset, tmp_path):
         outs = [tmp_path / "e1", tmp_path / "e2"]

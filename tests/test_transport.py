@@ -110,13 +110,10 @@ class TestErrors:
             solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), order)
 
     def test_numerical_failure_carries_diagnostics(self, monkeypatch):
-        def nonpositive_eigh(matrix):
-            n = matrix.shape[0]
-            return np.zeros(n), np.eye(n)
+        def nonpositive_eigh(stack):
+            n = stack.shape[-1]
+            return np.zeros(stack.shape[:-1]), np.zeros(stack.shape) + np.eye(n)
 
-        # An earlier test may have cached these eigenmodes, which would
-        # skip the patched eigh.
-        transport_module._eigenmodes.cache_clear()
         monkeypatch.setattr(transport_module.np.linalg, "eigh",
                             nonpositive_eigh)
         with pytest.raises(NumericalFailureError) as err:
@@ -142,6 +139,48 @@ class TestErrors:
         assert 1.0 < diagnostics["condition"] < 100.0
         assert (diagnostics["order"], diagnostics["c"],
                 diagnostics["width"]) == (64, 0.999999, 0.05)
+
+    def test_grid_reports_first_failure_by_order_then_width_then_c(self):
+        # Error bounds grow with order and c and shrink with width.  The
+        # failing solves include (c0, 0.1, 64), (c0, 0.02, 4) and
+        # (c1, 0.1, 4); the lowest order comes first, then the first width.
+        c0, c1 = 0.9999, 0.999999
+        config = DatasetConfig(c_min=c0, c_max=c1, c_count=2,
+                               widths=(0.1, 0.02), orders=(4, 64))
+        with pytest.raises(NumericalFailureError) as err:
+            generate_grid(config)
+        diagnostics = err.value.diagnostics
+        assert str(err.value).startswith("order 4: rounding error bound")
+        assert (diagnostics["failing_order"], diagnostics["order"],
+                diagnostics["c"], diagnostics["width"]) == (4, 4, c1, 0.1)
+        assert 1e-9 < diagnostics["error_bound"] < 1e-8
+        assert 1.0 < diagnostics["condition"] < 100.0
+        # Each of those solves fails on its own too.
+        for c, width, order in ((c0, 0.1, 64), (c0, 0.02, 4), (c1, 0.1, 4)):
+            with pytest.raises(NumericalFailureError, match="rounding"):
+                solve_sn(SlabProblem(scattering_ratio=c, width=width), order)
+        solve_sn(SlabProblem(scattering_ratio=c0, width=0.1), 4)
+
+        # Both c values fail at (4, 0.1) here; the first c is reported.
+        both = DatasetConfig(c_min=0.99999, c_max=c1, c_count=2,
+                             widths=(0.1,), orders=(4,))
+        with pytest.raises(NumericalFailureError) as err:
+            generate_grid(both)
+        assert err.value.diagnostics["c"] == 0.99999
+
+    def test_rounding_failure_reported_before_later_ill_conditioned_c(
+            self, monkeypatch):
+        # At order 4 and width 10 the boundary condition number is about
+        # 1.81 for c = 0.5 and 2.01 for c = 0.9.  The first c fails only
+        # the rounding bound, the second only the condition limit.
+        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 1.9)
+        monkeypatch.setattr(transport_module, "_ROUNDING_TOL", 0.0)
+        config = DatasetConfig(c_min=0.5, c_max=0.9, c_count=2,
+                               widths=(10.0,), orders=(4,))
+        with pytest.raises(NumericalFailureError, match="rounding") as err:
+            generate_grid(config)
+        assert err.value.diagnostics["c"] == 0.5
+        assert 1.8 < err.value.diagnostics["condition"] < 1.9
 
 
 class TestAccuracy:
@@ -226,39 +265,35 @@ class TestDataset:
         assert [s.c for s in a] != [s.c for s in c]
         assert a[0].c == 0.001 and a[-1].c == 0.999
 
-    def test_eigenmode_cache_does_not_change_values(self):
-        config = DatasetConfig(c_count=3, widths=(1.0, 10.0, 50.0),
-                               orders=(4, 8, 16))
-        reverse = DatasetConfig(c_count=3, widths=config.widths[::-1],
-                                orders=config.orders)
+    @pytest.mark.parametrize("widths,sigma_t,source,jitter", [
+        ((1.0, 10.0, 50.0), 1.0, 1.0, True),
+        ((50.0, 10.0, 1.0), 2.5, 3.0, False),
+    ])
+    def test_grid_values_equal_solve_sn(self, widths, sigma_t, source, jitter):
+        config = DatasetConfig(c_count=4, widths=widths, orders=(4, 6, 10, 64),
+                               sigma_t=sigma_t, source=source, jitter=jitter)
+        grid = generate_grid(config, rng_seed=5)
+        cs = config.c_values(rng_seed=5)
+        cases = [(c, w) for c in cs for w in widths]
+        assert [(s.c, s.width_mfp) for s in grid] == cases
+        assert [s.id for s in grid] == [f"s{k:03d}" for k in range(len(cases))]
+        for seq in grid:
+            problem = SlabProblem(sigma_t=sigma_t, scattering_ratio=seq.c,
+                                  width=seq.width_mfp, source=source)
+            alone = [solve_sn(problem, n).center_scalar_flux
+                     for n in config.orders]
+            assert np.array_equal(seq.values, alone), seq.id
 
-        def by_case(sequences):
-            return {(s.c, s.width_mfp): s.values for s in sequences}
-
-        # Reference: every sequence solved from an empty cache, so no two
-        # widths share eigenmodes.
-        unshared = {}
-        for c in config.c_values():
-            for width in config.widths:
-                transport_module._eigenmodes.cache_clear()
-                problem = SlabProblem(scattering_ratio=float(c), width=width)
-                unshared[float(c), width] = generate_sequence(
-                    problem, config.orders).values
-
-        transport_module._eigenmodes.cache_clear()
-        fresh = by_case(generate_grid(config))
-        warm = by_case(generate_grid(config))
-        transport_module._eigenmodes.cache_clear()
-        cleared = by_case(generate_grid(config))
-        reversed_widths = by_case(generate_grid(reverse))
-        for grid in (fresh, warm, cleared, reversed_widths):
-            assert grid.keys() == unshared.keys()
-            for case, values in unshared.items():
-                assert np.array_equal(grid[case], values), case
-
-    def test_eigenmodes_are_read_only(self):
-        modes = transport_module._eigenmodes(8, 1.0, 0.5)
-        assert len(modes) == 4
-        for array in modes:
-            with pytest.raises(ValueError):
-                array[(0,) * array.ndim] = 0.0
+    @pytest.mark.parametrize("changes,match", [
+        ({"orders": (4, 5)}, "even"),
+        ({"orders": (2, 4)}, "even"),
+        ({"orders": (4, 66)}, "even"),
+        ({"orders": (8, 4)}, "strictly increasing"),
+        ({"orders": (4, 4)}, "strictly increasing"),
+        ({"sigma_t": 0.0}, "sigma_t must be > 0"),
+        ({"sigma_t": -1.0}, "sigma_t must be > 0"),
+        ({"source": -1.0}, "source must be >= 0"),
+    ])
+    def test_config_rejects_bad_grid_inputs(self, changes, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            DatasetConfig(c_count=2, widths=(1.0,), **changes)
