@@ -7,17 +7,7 @@ genetic programming, and benchmarks everything against the raw sequences.
 
 __version__ = "0.1.0"
 
-from .accelerators import (
-    Accelerator,
-    AcceleratorResult,
-    aitken,
-    aitken_accelerator,
-    apply_accelerator,
-    evolved_accelerator,
-    evolved_formula,
-    wynn_accelerator,
-    wynn_epsilon,
-)
+from .accelerators import METHODS, aitken, evolved, wynn
 from .benchmark import BenchmarkReport, compare_to_reference, run_benchmark
 from .evolution import (
     EvolutionConfig,
@@ -25,18 +15,18 @@ from .evolution import (
     FitnessEvaluator,
     evolve,
     fitness,
+    formula_method,
     optimize_parameter,
     split_dataset,
     tournament_select,
 )
 from .quadrature import QuadratureSet, gauss_legendre
 from .sequences import (
+    ComparisonMatrix,
     Sequence,
     Window,
     load_dataset,
-    relative_error,
-    success_at,
-    window_at,
+    relative_errors,
     write_dataset,
 )
 from .transport import (

@@ -4,7 +4,10 @@ sequence and the position-by-scattering-ratio success grid.
 A method succeeds at a (sequence, position) pair when its consecutive
 relative error is strictly smaller than the raw sequence's error at the
 same position.  Invalid accelerator outputs are losses and are also
-tallied separately so closure-guard frequency stays visible.
+tallied separately so closure-guard frequency stays visible.  The dataset
+becomes one ``ComparisonMatrix``; each method is one call on its windows
+and one ``score``, the same win rule as the search's fitness, and the
+totals and the grid are counts over the resulting masks.
 """
 
 from dataclasses import dataclass, field
@@ -12,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .accelerators import apply_accelerator
 from .errors import InvalidArgumentError
-from .sequences import Sequence, relative_error, success_at
+from .sequences import ComparisonMatrix
 
 #: Published reference success rates (percent) for the three methods on
 #: the 240-sequence protocol; used by compare_to_reference.
@@ -49,70 +51,45 @@ class BenchmarkReport:
     metadata: dict
 
 
-def _c_bin(c: float, n_bins: int) -> int:
-    return min(int(c * n_bins), n_bins - 1)
-
-
-def _score_sequence(seq: Sequence, methods, orders):
-    """Per-method (success, invalid) boolean vectors for one sequence."""
-    raw = []
-    for order in orders:
-        i = seq.index_of(order)
-        raw.append(relative_error(seq.values[i], seq.values[i - 1]))
-    out = {}
-    for acc in methods:
-        result = apply_accelerator(acc, seq, orders)
-        success = np.array([success_at(err, raw_err)
-                            for err, raw_err in zip(result.errors, raw)])
-        out[acc.name] = (success, result.invalid)
-    return out
-
-
 def run_benchmark(sequences, methods, orders, bins: int = 10,
                   metadata: dict = None) -> BenchmarkReport:
     """Score every method on every (sequence, order) pair.
 
-    The success grid uses ``bins`` equal-width scattering-ratio bins over
-    [0, 1]; raises InvalidArgumentError for ``bins`` < 1.
+    ``methods`` maps a name to a function from an (n, 4) window array to
+    n values, such as ``accelerators.METHODS``.  The success grid uses
+    ``bins`` equal-width scattering-ratio bins over [0, 1] (c = 1 falls in
+    the last); raises InvalidArgumentError for ``bins`` < 1.
     """
     if bins < 1:
         raise InvalidArgumentError(f"bins must be >= 1, got {bins}")
-    sequences = list(sequences)
-    methods = list(methods)
-    orders = tuple(int(n) for n in orders)
-    n_orders = len(orders)
+    matrix = ComparisonMatrix(sequences, orders)
+    n_orders = len(matrix.orders)
+    c_bin = np.minimum((matrix.c * bins).astype(np.intp), bins - 1)
+    cell = matrix.order_index * bins + c_bin
 
-    stats = {
-        acc.name: MethodStats(
-            name=acc.name, wins=0, losses=0, invalids=0, success_rate=0.0,
-            grid_wins=np.zeros((n_orders, bins)),
-            grid_counts=np.zeros((n_orders, bins)),
+    def grid(mask=None):
+        cells = cell if mask is None else cell[mask]
+        return np.bincount(cells, minlength=n_orders * bins).reshape(n_orders, bins)
+
+    counts = grid()
+    total = matrix.comparisons
+    stats = {}
+    for name, method in methods.items():
+        values = np.array(method(matrix.windows), dtype=np.float64)
+        wins, invalid = matrix.score(values, invalid=True)
+        n_wins = int(np.count_nonzero(wins))
+        stats[name] = MethodStats(
+            name=name, wins=n_wins, losses=total - n_wins,
+            invalids=int(np.count_nonzero(invalid)),
+            success_rate=n_wins / total if total else 0.0,
+            grid_wins=grid(wins), grid_counts=counts,
         )
-        for acc in methods
-    }
-
-    for seq in sequences:
-        per_method = _score_sequence(seq, methods, orders)
-        bin_idx = _c_bin(seq.c, bins)
-        for name, (success, invalid) in per_method.items():
-            entry = stats[name]
-            entry.wins += int(np.count_nonzero(success))
-            entry.invalids += int(np.count_nonzero(invalid))
-            for k in range(n_orders):
-                entry.grid_counts[k, bin_idx] += 1
-                if success[k]:
-                    entry.grid_wins[k, bin_idx] += 1
-
-    total = len(sequences) * n_orders
-    for entry in stats.values():
-        entry.losses = total - entry.wins
-        entry.success_rate = entry.wins / total if total else 0.0
 
     return BenchmarkReport(
-        orders=orders,
+        orders=matrix.orders,
         bin_edges=np.linspace(0.0, 1.0, bins + 1),
         methods=stats,
-        n_sequences=len(sequences),
+        n_sequences=len(matrix.sequences),
         metadata=dict(metadata or {}),
     )
 

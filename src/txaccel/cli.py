@@ -16,12 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .accelerators import (
-    Accelerator,
-    aitken_accelerator,
-    evolved_accelerator,
-    wynn_accelerator,
-)
+from .accelerators import METHODS
 from .benchmark import (
     compare_to_reference,
     run_benchmark,
@@ -35,10 +30,16 @@ from .errors import (
     InvalidConfigError,
     NumericalFailureError,
 )
-from .evolution import EvolutionConfig, evolve, split_dataset, write_report
+from .evolution import (
+    EvolutionConfig,
+    evolve,
+    formula_method,
+    split_dataset,
+    write_report,
+)
 from .sequences import load_dataset, read_metadata, write_dataset
 from .transport import DatasetConfig, dataset_metadata, generate_grid
-from .trees import eval_formula, parse
+from .trees import parse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,32 +141,24 @@ def cmd_evolve(args):
     return EXIT_OK
 
 
-def _formula_accelerator(path) -> Accelerator:
-    formula = parse(Path(path).read_text())
-    return Accelerator("evolved", lambda w: eval_formula(formula, w))
-
-
 def cmd_evaluate(args):
     started = time.perf_counter()
     sequences = load_dataset(args.data)
     meta_file = Path(args.data).with_suffix(".meta")
     metadata = read_metadata(meta_file) if meta_file.exists() else {}
 
-    available = {
-        "aitken": aitken_accelerator,
-        "wynn": wynn_accelerator,
-        "evolved": (lambda: _formula_accelerator(args.formula))
-        if args.formula else evolved_accelerator,
-    }
-    methods = []
+    methods = {}
     for name in args.methods.split(","):
         name = name.strip()
-        if name not in available:
+        if name not in METHODS:
             raise InvalidArgumentError(
                 f"unknown method {name!r}; choose from "
-                f"{', '.join(sorted(available))}"
+                f"{', '.join(sorted(METHODS))}"
             )
-        methods.append(available[name]())
+        if name == "evolved" and args.formula:
+            methods[name] = formula_method(parse(Path(args.formula).read_text()))
+        else:
+            methods[name] = METHODS[name]
 
     report = run_benchmark(
         sequences, methods, args.positions, bins=args.bins,

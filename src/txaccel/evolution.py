@@ -10,18 +10,20 @@ once the best training fitness exceeds the target.
 Fitness is the fraction of (sequence, position) comparisons where the
 formula's consecutive relative error strictly beats the raw sequence's
 error at the same position.  Invalid outputs (a vanishing accelerated
-value makes the relative error undefined) count as losses.  All window
-evaluation goes through the compiled-program kernel, so one fitness call
-is a single batch evaluation, for one p-value or a whole vector of them.
+value makes the relative error undefined) count as losses.  The training
+set is one ``ComparisonMatrix`` and a fitness call is one kernel call on
+its windows, for one p-value or a whole vector of them, scored by the
+matrix's win rule: the one ``evaluate`` uses, so a formula's fitness is
+its ``evaluate`` success rate on the same sequences and positions.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, InvalidConfigError
+from .errors import InvalidConfigError
 from .kernels import compile_formula, evaluate_program
-from .sequences import TINY_DENOMINATOR
+from .sequences import ComparisonMatrix
 from .trees import (
     Formula,
     aitken_seed,
@@ -91,71 +93,41 @@ class EvolutionConfig:
             raise InvalidConfigError("evaluation_orders must be non-empty")
 
 
-class FitnessEvaluator:
-    """Precomputed window matrix and raw errors for one sequence set.
+class FitnessEvaluator(ComparisonMatrix):
+    """The comparison matrix of one sequence set, scored on the kernel.
 
-    For each sequence and each evaluation order k the formula needs its
-    accelerated value at k and at the order just before k.  The window
-    matrix holds the m previous-position rows first and the m current-
-    position rows after them, one pair per comparison, so
-    ``fitness_program`` is a single kernel call, two slices and an
-    in-place comparison.  ``evals`` counts the p-values scored.
+    ``fitness_program`` is a single kernel call on ``windows`` and one
+    ``score``: the win rule of ``evaluate``, without its invalid mask.
+    ``evals`` counts the p-values scored.
     """
 
     def __init__(self, sequences, orders):
-        sequences = list(sequences)
-        orders = tuple(int(n) for n in orders)
-        if not sequences:
+        super().__init__(sequences, orders)
+        if not self.sequences:
             raise InvalidConfigError("sequence set must be non-empty")
-        prev_rows = []
-        curr_rows = []
-        raw_err = []
-        for seq in sequences:
-            values = seq.values
-            for order in orders:
-                try:
-                    i = seq.index_of(order)
-                except InsufficientHistoryError as exc:
-                    raise InsufficientHistoryError(
-                        f"insufficient window history: {exc}"
-                    ) from None
-                if i < 4:
-                    raise InsufficientHistoryError(
-                        f"insufficient window history: evaluation order {order} "
-                        f"sits at index {i} of sequence {seq.id!r}; both it and "
-                        "its predecessor need 3 trailing terms"
-                    )
-                prev_rows.append(values[i - 4:i][::-1])
-                curr_rows.append(values[i - 3:i + 1][::-1])
-                raw_err.append(
-                    np.inf if abs(values[i]) < TINY_DENOMINATOR
-                    else abs(values[i] - values[i - 1]) / abs(values[i])
-                )
-        self.sequences = sequences
-        self.orders = orders
-        self.windows = np.asarray(prev_rows + curr_rows, dtype=np.float64)
-        self.raw_errors = np.asarray(raw_err, dtype=np.float64)
-        self.comparisons = len(sequences) * len(orders)
         self.evals = 0
 
     def fitness_program(self, program, p):
         """Fitness at ``p``: a float, or one per entry of a 1-D array."""
         accel = evaluate_program(program, self.windows, p)
         self.evals += np.size(p)
-        m = self.comparisons
-        prev = accel[..., :m]
-        curr = accel[..., m:]
-        err = np.subtract(curr, prev, out=prev)
-        np.abs(err, out=err)
-        np.abs(curr, out=curr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(err, curr, out=err)
-        err[curr < TINY_DENOMINATOR] = np.inf
-        fit = np.count_nonzero(err < self.raw_errors, axis=-1) / m
+        fit = np.count_nonzero(self.score(accel), axis=-1) / self.comparisons
         return fit if np.ndim(p) else float(fit)
 
     def fitness(self, f: Formula) -> float:
         return self.fitness_program(compile_formula(f), f.p)
+
+
+def formula_method(f: Formula):
+    """``f`` as an ``evaluate`` method: its values on a window array, on
+    the kernel."""
+    program = compile_formula(f)
+
+    def method(windows):
+        with np.errstate(over="ignore"):  # the kernel clamps overflow
+            return evaluate_program(program, windows, f.p)
+
+    return method
 
 
 def fitness(f: Formula, training, orders=DEFAULT_EVALUATION_ORDERS) -> float:

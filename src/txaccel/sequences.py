@@ -1,12 +1,15 @@
-"""Convergence sequences, trailing windows, relative errors, and the
-success criterion, plus dataset CSV io.
+"""Convergence sequences, the comparison matrix and its win rule, plus
+dataset CSV io.
 
 A sequence holds the center scalar fluxes of one slab problem indexed by
 increasing quadrature order.  Accelerators consume the four most recent
-terms (a Window, newest first).  The relative error between consecutive
+terms (a window, newest first).  The relative error between consecutive
 values is |curr - prev| / |curr|, with a +inf sentinel when the current
 value is too small to divide by; a method succeeds at a position when its
 error is strictly smaller than the raw sequence's error there.
+``ComparisonMatrix`` holds the windows of every comparison of a sequence
+set in one matrix and scores a method's values on it; ``evaluate`` and the
+search's fitness both score through it.
 """
 
 import csv
@@ -64,6 +67,10 @@ class Sequence:
             raise InvalidArgumentError(
                 f"sequence {self.id!r}: all values must be finite"
             )
+        if not 0.0 <= self.c <= 1.0:
+            raise InvalidArgumentError(
+                f"sequence {self.id!r}: c must be in [0, 1], got {self.c}"
+            )
 
     def index_of(self, order: int) -> int:
         try:
@@ -75,39 +82,78 @@ class Sequence:
             ) from None
 
 
-def relative_error(curr: float, prev: float) -> float:
-    """Relative change between consecutive terms, |curr - prev| / |curr|.
+class ComparisonMatrix:
+    """Every (sequence, order) comparison of a sequence set as one window matrix.
 
-    Total: when |curr| < 1e-300 the result is the UNDEFINED_ERROR
-    sentinel, which compares as +inf.
+    Comparison ``j = s * len(orders) + k`` sets a method's value at
+    ``orders[k]`` of sequence ``s`` against its value at the order just
+    before.  ``windows`` holds the m previous-position windows first and the
+    m current-position windows after them, so one call of a method on
+    ``windows`` gives every value the comparisons need, laid out [prev;
+    curr].  Beside it sit each comparison's raw error, its sequence's
+    scattering ratio ``c`` and its ``order_index`` into ``orders``.
     """
-    if abs(curr) < TINY_DENOMINATOR:
-        return UNDEFINED_ERROR
-    return abs(curr - prev) / abs(curr)
+
+    def __init__(self, sequences, orders):
+        self.sequences = list(sequences)
+        self.orders = tuple(int(n) for n in orders)
+        taps = np.arange(5)
+        rows = [seq.values[self._window_ends(seq)[:, None] - taps]
+                for seq in self.sequences]
+        # Terms i, i-1, ..., i-4: the current window and the previous one.
+        terms = np.concatenate(rows) if rows else np.empty((0, 5))
+        self.windows = np.concatenate((terms[:, 1:], terms[:, :4]))
+        self.comparisons = terms.shape[0]
+        self.raw_errors = relative_errors(self.windows[:, 0].copy())
+        self.c = np.repeat([seq.c for seq in self.sequences], len(self.orders))
+        self.order_index = np.tile(np.arange(len(self.orders)), len(self.sequences))
+
+    def _window_ends(self, seq):
+        ends = []
+        for order in self.orders:
+            try:
+                i = seq.index_of(order)
+            except InsufficientHistoryError as exc:
+                raise InsufficientHistoryError(
+                    f"insufficient window history: {exc}") from None
+            if i < 4:
+                raise InsufficientHistoryError(
+                    f"insufficient window history: evaluation order {order} "
+                    f"sits at index {i} of sequence {seq.id!r}; both it and "
+                    "its predecessor need 3 trailing terms"
+                )
+            ends.append(i)
+        return np.array(ends, dtype=np.intp)
+
+    def score(self, values, invalid=False):
+        """Win mask of a method's ``values`` on ``windows``, shape (..., 2m).
+
+        A comparison is a win when the method's relative error is strictly
+        below the raw error, and invalid when that error is not finite (an
+        INVALID value or a vanishing current value).  ``values`` is
+        overwritten.  With ``invalid`` the invalid mask comes back too.
+        """
+        err = relative_errors(values)
+        wins = err < self.raw_errors
+        return (wins, ~np.isfinite(err)) if invalid else wins
 
 
-def success_at(formula_err: float, raw_err: float) -> bool:
-    """Strict success criterion: the method's error beats the raw error.
+def relative_errors(values):
+    """|curr - prev| / |curr| of [prev; curr] on the last axis, in place.
 
-    Ties fail, and the UNDEFINED_ERROR sentinel never wins.
+    Entries with |curr| < TINY_DENOMINATOR read UNDEFINED_ERROR.  The
+    errors overwrite the prev half, which is returned.
     """
-    return formula_err < raw_err
-
-
-def window_at(seq: Sequence, position_order: int) -> Window:
-    """The four terms ending at ``position_order``, newest first.
-
-    Raises InsufficientHistoryError when the position has fewer than
-    three predecessors.
-    """
-    i = seq.index_of(position_order)
-    if i < 3:
-        raise InsufficientHistoryError(
-            f"order {position_order} has only {i} predecessors in sequence "
-            f"{seq.id!r}; a window needs 3"
-        )
-    v = seq.values
-    return Window(v[i], v[i - 1], v[i - 2], v[i - 3])
+    m = values.shape[-1] // 2
+    prev = values[..., :m]
+    curr = values[..., m:]
+    with np.errstate(all="ignore"):
+        err = np.subtract(curr, prev, out=prev)
+        np.abs(err, out=err)
+        np.abs(curr, out=curr)
+        np.divide(err, curr, out=err)
+    err[curr < TINY_DENOMINATOR] = UNDEFINED_ERROR
+    return err
 
 
 # ---------------------------------------------------------------------------

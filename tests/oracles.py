@@ -1,4 +1,8 @@
-"""Independent reference solutions used to check the analytic solver.
+"""Independent reference solutions used to check the package.
+
+The scalar accelerator route at the end is the per-window reference for
+``run_benchmark`` and the fitness: one Python call per window, one
+relative error and one strict comparison per (sequence, position).
 
 Diamond-difference discrete ordinates on a uniform spatial mesh, solved
 for the scattering source with GMRES (Saad & Schultz 1986), then
@@ -9,6 +13,8 @@ linear recurrence over the cells, so each sweep is one
 leggauss, so this path shares nothing with the package solver beyond the
 problem definition.  The same Q/2 isotropic source convention applies.
 """
+
+import math
 
 import numpy as np
 from scipy.signal import lfilter
@@ -101,3 +107,137 @@ def pure_absorber_center_flux(width, order, sigma_t=1.0, source=1.0):
     half = width / sigma_t / 2.0
     psi = 0.5 * source / sigma_t * (1.0 - np.exp(-sigma_t * half / np.abs(mu)))
     return float(np.sum(w * psi))
+
+
+# ---------------------------------------------------------------------------
+# Scalar accelerator route
+# ---------------------------------------------------------------------------
+
+INVALID = math.inf
+GUARD = 1e-10
+TINY_DENOMINATOR = 1e-300
+
+
+def is_invalid(value):
+    return not math.isfinite(value)
+
+
+def aitken(s_n, s_nm1, s_nm2):
+    """Delta-squared value of three terms, INVALID on a flat second difference."""
+    d2 = s_n - 2.0 * s_nm1 + s_nm2
+    if abs(d2) < GUARD * max(1.0, abs(s_n)):
+        return INVALID
+    d1 = s_n - s_nm1
+    return s_n - d1 * d1 / d2
+
+
+def wynn_epsilon(terms, target_column, tiny=1e-300):
+    """Most recent entry of an even column of the epsilon table over
+    ``terms`` (oldest first), built by the cross rule
+    e_{k+1}^(n) = e_{k-1}^(n+1) + 1 / (e_k^(n+1) - e_k^(n)).  An inverted
+    difference below ``tiny`` in magnitude yields INVALID."""
+    terms = [float(t) for t in terms]
+    if target_column % 2 != 0 or target_column < 0:
+        raise ValueError(f"target_column must be even and >= 0, got {target_column}")
+    if target_column > len(terms) - 1:
+        raise ValueError(f"column {target_column} needs at least "
+                         f"{target_column + 1} terms, got {len(terms)}")
+    prev = [0.0] * (len(terms) + 1)
+    curr = terms
+    for _ in range(target_column):
+        nxt = []
+        for n in range(len(curr) - 1):
+            diff = curr[n + 1] - curr[n]
+            if abs(diff) < tiny:
+                return INVALID
+            nxt.append(prev[n + 1] + 1.0 / diff)
+        prev, curr = curr, nxt
+    return curr[-1]
+
+
+def wynn_column2(s_n, s_nm1, s_nm2):
+    """Column 2 of the table over (S_{n-2}, S_{n-1}, S_n) behind the
+    delta-squared rule's second-difference guard."""
+    if abs(s_n - 2.0 * s_nm1 + s_nm2) < GUARD * max(1.0, abs(s_n)):
+        return INVALID
+    return wynn_epsilon((s_nm2, s_nm1, s_n), 2)
+
+
+def evolved_formula(window):
+    """The built-in evolved accelerator on one window, newest term first."""
+    s_n, s_nm1, s_nm2 = window[0], window[1], window[2]
+    if abs(s_nm1) < GUARD:
+        return INVALID
+    ratio = s_n / s_nm1
+    stretched = 2.0 * s_n - 4.0 * s_nm1 + s_nm2
+    if abs(stretched) < GUARD or abs(ratio) < GUARD:
+        return INVALID
+    numerator = s_n * s_nm2 - s_n * s_n - s_nm1 * s_nm1
+    return numerator / (stretched * ratio)
+
+
+#: Scalar transforms of one window (s_n, s_nm1, s_nm2, s_nm3), by method.
+SCALAR_METHODS = {
+    "aitken": lambda w: aitken(w[0], w[1], w[2]),
+    "wynn": lambda w: wynn_column2(w[0], w[1], w[2]),
+    "evolved": evolved_formula,
+}
+
+
+def relative_error(curr, prev):
+    """|curr - prev| / |curr|, or +inf when |curr| < 1e-300."""
+    if abs(curr) < TINY_DENOMINATOR:
+        return math.inf
+    return abs(curr - prev) / abs(curr)
+
+
+def success_at(formula_err, raw_err):
+    """Strict success: ties fail and +inf never wins."""
+    return formula_err < raw_err
+
+
+def window_at(seq, order):
+    """The four terms ending at ``order``, newest first."""
+    i = seq.orders.index(order)
+    if i < 3:
+        raise ValueError(f"order {order} has only {i} predecessors")
+    v = seq.values
+    return (float(v[i]), float(v[i - 1]), float(v[i - 2]), float(v[i - 3]))
+
+
+def scalar_scores(transform, seq, orders):
+    """Per order of ``seq``: (win, invalid, error) of ``transform``'s value
+    at that order against its value at the previous order."""
+    out = []
+    for order in orders:
+        i = seq.orders.index(order)
+        curr = transform(window_at(seq, order))
+        prev = transform(window_at(seq, seq.orders[i - 1]))
+        if is_invalid(curr) or is_invalid(prev):
+            err, invalid = INVALID, True
+        else:
+            err = relative_error(curr, prev)
+            invalid = is_invalid(err)
+        raw = relative_error(seq.values[i], seq.values[i - 1])
+        out.append((success_at(err, raw), invalid, err))
+    return out
+
+
+def scalar_benchmark(sequences, transforms, orders, bins=10):
+    """run_benchmark's totals and grid through the scalar route: name ->
+    (wins, losses, invalids, grid_wins, grid_counts)."""
+    out = {}
+    for name, transform in transforms.items():
+        wins = invalids = 0
+        grid_wins = np.zeros((len(orders), bins))
+        grid_counts = np.zeros((len(orders), bins))
+        for seq in sequences:
+            c_bin = min(int(seq.c * bins), bins - 1)
+            for k, (win, invalid, _) in enumerate(scalar_scores(transform, seq, orders)):
+                wins += win
+                invalids += invalid
+                grid_counts[k, c_bin] += 1
+                grid_wins[k, c_bin] += win
+        total = len(sequences) * len(orders)
+        out[name] = (wins, total - wins, invalids, grid_wins, grid_counts)
+    return out

@@ -15,15 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import mesh_refined_center_flux, pure_absorber_center_flux
-from txaccel.accelerators import (
-    aitken,
-    aitken_accelerator,
-    evolved_accelerator,
-    evolved_formula,
-    is_invalid,
-    wynn_accelerator,
-    wynn_epsilon,
-)
+from txaccel.accelerators import INVALID, METHODS, aitken, evolved, wynn
 from txaccel.benchmark import compare_to_reference, run_benchmark
 from txaccel.evolution import (
     EvolutionConfig,
@@ -108,18 +100,18 @@ def test_criterion_04_classical_identities():
         if abs(r) < 0.05:
             continue
         n = int(rng.integers(2, 20))
-        s = a + b * r ** np.arange(n, n + 3)[::-1]
-        value = aitken(s[0], s[1], s[2])
-        if is_invalid(value):
+        s = a + b * r ** np.arange(n - 1, n + 3)[::-1]
+        value = aitken(s)
+        if value == INVALID:
             continue
         assert abs(value - a) < 1e-12 * max(1.0, abs(a))
 
     sentinels = 0
     for _ in range(1000):
-        terms = rng.uniform(-10.0, 10.0, 3)
-        via_aitken = aitken(terms[2], terms[1], terms[0])
-        via_table = wynn_epsilon(terms, 2)
-        if is_invalid(via_aitken) or is_invalid(via_table):
+        window = np.append(rng.uniform(-10.0, 10.0, 3)[::-1], 0.0)
+        via_aitken = aitken(window)
+        via_table = wynn(window)
+        if via_aitken == INVALID or via_table == INVALID:
             sentinels += 1
             continue
         assert via_table == pytest.approx(via_aitken, rel=1e-12, abs=1e-12)
@@ -140,12 +132,12 @@ def test_criterion_05_evolved_formula_fidelity():
             continue
         expected = ((s_n * s_nm2 - s_n ** 2 - s_nm1 ** 2)
                     / (stretched * (s_n / s_nm1)))
-        got = evolved_formula(Window(*s))
+        got = evolved(s)
         assert got == pytest.approx(expected, rel=1e-12)
         checked += 1
 
-    assert is_invalid(evolved_formula(Window(1.0, 5e-11, 2.0, 0.0)))
-    assert is_invalid(evolved_formula(Window(1.0, 1.0, 2.0, 0.0)))
+    assert evolved(Window(1.0, 5e-11, 2.0, 0.0)) == INVALID
+    assert evolved(Window(1.0, 1.0, 2.0, 0.0)) == INVALID
 
 
 @criterion(6, "closure: 10,000 random tree evaluations all finite")
@@ -189,7 +181,7 @@ def test_criterion_07_evolution_invariants(mini24):
 def test_criterion_08_reference_bands(dataset240):
     report = run_benchmark(
         dataset240,
-        [aitken_accelerator(), wynn_accelerator(), evolved_accelerator()],
+        METHODS,
         EVAL_ORDERS)
     rates = {name: entry.success_rate
              for name, entry in report.methods.items()}

@@ -163,6 +163,22 @@ class TestEvaluate:
         assert code == 3
         assert "offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", ["-0.2", "1.5", "nan"])
+    def test_out_of_range_c_is_usage_error(self, tiny_dataset, tmp_path, capsys, c):
+        lines = tiny_dataset.read_text().splitlines()
+        first = lines[1].split(",")[0]
+        for k, line in enumerate(lines[1:], start=1):
+            fields = line.split(",")
+            if fields[0] == first:
+                fields[1] = c
+                lines[k] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x"
+        assert run("evaluate", "--data", str(bad), "--out", str(out)) == 2
+        assert f"sequence {first!r}: c must be in [0, 1]" in capsys.readouterr().err
+        assert not (out / "grid.csv").exists()
+
     def test_single_bin(self, tiny_dataset, tmp_path):
         out = tmp_path / "b1"
         assert run("evaluate", "--data", str(tiny_dataset), "--bins", "1",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from txaccel.accelerators import aitken, is_invalid
+from oracles import aitken, is_invalid, scalar_scores
 from txaccel.errors import InsufficientHistoryError, InvalidConfigError
 from txaccel.evolution import (
     EvolutionConfig,
@@ -109,19 +109,12 @@ class TestFitness:
 
     @staticmethod
     def accelerator_route_fitness(f, sequences, orders):
-        """Win fraction through the per-window accelerator path."""
-        from txaccel.accelerators import Accelerator, apply_accelerator
-        from txaccel.sequences import relative_error, success_at
+        """Win fraction through the scalar per-window route of oracles.py."""
+        def transform(w):
+            return eval_formula(f, Window(*w))
 
-        acc = Accelerator("f", lambda w: eval_formula(f, w))
-        wins = 0
-        for seq in sequences:
-            result = apply_accelerator(acc, seq, orders)
-            for j, order in enumerate(orders):
-                i = seq.orders.index(order)
-                raw = relative_error(seq.values[i], seq.values[i - 1])
-                if success_at(result.errors[j], raw):
-                    wins += 1
+        wins = sum(win for seq in sequences
+                   for win, _, _ in scalar_scores(transform, seq, orders))
         return wins / (len(sequences) * len(orders))
 
     def test_matches_accelerator_route(self, mini24):

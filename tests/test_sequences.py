@@ -5,14 +5,13 @@ import pytest
 
 from txaccel.errors import InsufficientHistoryError, InvalidArgumentError
 from txaccel.sequences import (
+    ComparisonMatrix,
     Sequence,
     Window,
     load_dataset,
     metadata_path,
     read_metadata,
-    relative_error,
-    success_at,
-    window_at,
+    relative_errors,
     write_dataset,
 )
 
@@ -22,6 +21,19 @@ def make_sequence(values, orders=None, c=0.5, width=2.0, seq_id="t"):
     if orders is None:
         orders = tuple(range(4, 4 * len(values) + 1, 4))
     return Sequence(id=seq_id, c=c, width_mfp=width, orders=orders, values=values)
+
+
+def relative_error(curr, prev):
+    return relative_errors(np.array([prev, curr], dtype=float))[0]
+
+
+def wins(prev, curr, raw_prev, raw_curr):
+    """(win, invalid) of a method valued (prev, curr) at order 20 of a
+    sequence whose terms there are (raw_prev, raw_curr)."""
+    seq = make_sequence([1.0, 1.0, 1.0, raw_prev, raw_curr])
+    win, invalid = ComparisonMatrix([seq], (20,)).score(
+        np.array([prev, curr], dtype=float), invalid=True)
+    return bool(win[0]), bool(invalid[0])
 
 
 class TestRelativeError:
@@ -62,42 +74,52 @@ class TestRelativeError:
 
 
 class TestSuccessAt:
+    """The win rule of ComparisonMatrix.score."""
+
     def test_strict_win(self):
-        assert success_at(0.001, 0.01) is True
+        # Errors 0.001 against 0.01.
+        assert wins(0.999, 1.0, 0.99, 1.0) == (True, False)
 
     def test_tie_is_failure(self):
-        assert success_at(0.01, 0.01) is False
+        assert wins(0.99, 1.0, 0.99, 1.0) == (False, False)
 
     def test_sentinel_never_wins(self):
-        assert success_at(math.inf, 12.0) is False
-        assert success_at(math.inf, math.inf) is False
+        assert wins(0.5, math.inf, 11.0, 1.0) == (False, True)
+        assert wins(math.inf, 0.5, 11.0, 1.0) == (False, True)
+        # An undefined error (|curr| < 1e-300) against an undefined raw error.
+        assert wins(1.0, 0.0, 1.0, 0.0) == (False, True)
 
     def test_irreflexive(self):
-        for x in (0.0, 1e-12, 3.5, math.inf):
-            assert success_at(x, x) is False
+        for prev, curr in ((1.0, 1.0), (1.0, 1.0 + 1e-12), (0.5, 4.0), (1.0, 0.0)):
+            assert wins(prev, curr, prev, curr)[0] is False
 
 
 class TestWindowAt:
+    """The window rows of a comparison matrix."""
+
     def test_window_terms(self):
         seq = make_sequence(np.arange(13.0), orders=tuple(range(4, 53, 4)))
-        w = window_at(seq, 16)
-        # orders (16, 12, 8, 4) are indices (3, 2, 1, 0)
-        assert w == Window(3.0, 2.0, 1.0, 0.0)
+        w = ComparisonMatrix([seq], (20,)).windows
+        # The previous window ends at order 16, indices (3, 2, 1, 0).
+        assert Window(*w[0]) == Window(3.0, 2.0, 1.0, 0.0)
+        assert Window(*w[1]) == Window(4.0, 3.0, 2.0, 1.0)
 
     def test_newest_first_at_tail(self):
         seq = make_sequence(np.arange(13.0), orders=tuple(range(4, 53, 4)))
-        w = window_at(seq, 52)
-        assert w == Window(12.0, 11.0, 10.0, 9.0)
+        w = ComparisonMatrix([seq], (28, 52)).windows
+        assert Window(*w[3]) == Window(12.0, 11.0, 10.0, 9.0)
+        assert Window(*w[2]) == Window(6.0, 5.0, 4.0, 3.0)
 
     def test_insufficient_history(self):
         seq = make_sequence(np.arange(13.0), orders=tuple(range(4, 53, 4)))
-        with pytest.raises(InsufficientHistoryError):
-            window_at(seq, 12)
+        for order in (12, 16):
+            with pytest.raises(InsufficientHistoryError):
+                ComparisonMatrix([seq], (order,))
 
     def test_unknown_order(self):
         seq = make_sequence(np.arange(13.0), orders=tuple(range(4, 53, 4)))
         with pytest.raises(InsufficientHistoryError):
-            window_at(seq, 17)
+            ComparisonMatrix([seq], (17,))
 
 
 class TestSequenceValidation:
@@ -112,6 +134,15 @@ class TestSequenceValidation:
     def test_values_must_be_finite(self):
         with pytest.raises(InvalidArgumentError):
             make_sequence([1.0, np.nan, 3.0])
+
+    @pytest.mark.parametrize("c", [-0.2, 1.5, math.nan, -math.inf])
+    def test_c_must_be_in_unit_interval(self, c):
+        with pytest.raises(InvalidArgumentError, match="'t': c must be in"):
+            make_sequence([1.0, 2.0], c=c)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_c_bounds_allowed(self, c):
+        assert make_sequence([1.0, 2.0], c=c).c == c
 
     def test_single_term_allowed(self):
         seq = make_sequence([2.5], orders=(4,))
@@ -142,6 +173,13 @@ class TestDatasetIo:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidArgumentError):
+            load_dataset(path)
+
+    def test_load_rejects_c_out_of_range(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("sequence_id,c,width_mfp,order,center_flux\n"
+                        "s000,-0.2,1,4,0.5\ns000,-0.2,1,8,0.6\n")
+        with pytest.raises(InvalidArgumentError, match="'s000': c must be in"):
             load_dataset(path)
 
     def test_write_is_deterministic(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from txaccel.accelerators import aitken, evolved_formula, is_invalid
+from txaccel.accelerators import INVALID, aitken, evolved
 from txaccel.errors import FormulaSyntaxError
 from txaccel.sequences import Window
 from txaccel.trees import (
@@ -93,8 +93,8 @@ class TestEvalFormula:
         checked = 0
         while checked < 200:
             w = Window(*rng.uniform(-10, 10, 4))
-            classical = aitken(w.s_n, w.s_nm1, w.s_nm2)
-            if is_invalid(classical):
+            classical = float(aitken(w))
+            if classical == INVALID:
                 continue
             assert eval_formula(seed, w) == pytest.approx(classical, rel=1e-12,
                                                           abs=1e-12)
@@ -106,8 +106,8 @@ class TestEvalFormula:
         checked = 0
         while checked < 100:
             w = Window(*rng.uniform(0.3, 4.0, 4))
-            direct = evolved_formula(w)
-            if is_invalid(direct):
+            direct = float(evolved(w))
+            if direct == INVALID:
                 continue
             assert eval_formula(f, w) == pytest.approx(direct, rel=1e-12)
             checked += 1
