@@ -2,7 +2,8 @@
 method evaluation as reproducible runs.
 
 Every command writes a plain-text manifest next to its outputs recording
-the resolved configuration, seed, paths, version, and wall-clock time.
+the resolved configuration, seed, paths, version, the seconds spent in
+each of its stages, and wall-clock time.
 With identical flags and seed the primary outputs are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure
@@ -71,17 +72,35 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _write_manifest(directory, command, settings, duration):
+class _StageTimer:
+    """Wall-clock seconds of a command's stages, in the order they ran,
+    from the command's start."""
+
+    def __init__(self):
+        self.seconds = {}
+        self.started = self._last = time.perf_counter()
+
+    def lap(self, stage):
+        """Record the seconds since the previous lap (or since the start)
+        as ``stage``."""
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
+def _write_manifest(directory, command, settings, stages):
     lines = [f"command={command}", f"artifact_version={__version__}"]
     for key in sorted(settings):
         lines.append(f"{key}={settings[key]}")
-    lines.append(f"duration_s={duration:.3f}")
+    for stage, seconds in stages.seconds.items():
+        lines.append(f"{stage}={seconds:.3f}")
+    lines.append(f"duration_s={time.perf_counter() - stages.started:.3f}")
     Path(directory).mkdir(parents=True, exist_ok=True)
     (Path(directory) / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_generate(args):
-    started = time.perf_counter()
+    stages = _StageTimer()
     seed = _resolve_seed(args.seed)
     if args.n_step < 1:
         raise InvalidArgumentError(f"--n-step must be >= 1, got {args.n_step}")
@@ -91,25 +110,28 @@ def cmd_generate(args):
         orders=tuple(range(args.n_min, args.n_max + 1, args.n_step)),
     )
     sequences = generate_grid(config, rng_seed=seed)
+    stages.lap("solve_s")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(out, sequences, dataset_metadata(config, seed, __version__))
+    stages.lap("write_s")
     _write_manifest(out.parent, "generate", {
         "out": out, "seed": seed, "c_min": args.c_min, "c_max": args.c_max,
         "c_count": args.c_count, "widths": ",".join(f"{w:g}" for w in args.widths),
         "n_min": args.n_min, "n_max": args.n_max, "n_step": args.n_step,
         "sequences": len(sequences),
-    }, time.perf_counter() - started)
+    }, stages)
     print(f"wrote {len(sequences)} sequences x {len(config.orders)} orders "
           f"to {out}")
     return EXIT_OK
 
 
 def cmd_evolve(args):
-    started = time.perf_counter()
+    stages = _StageTimer()
     seed = _resolve_seed(args.seed)
     sequences = load_dataset(args.data)
     training, validation = split_dataset(sequences, args.split, seed)
+    stages.lap("load_s")
     config = EvolutionConfig(
         population_size=args.pop,
         max_generations=args.gens,
@@ -123,8 +145,10 @@ def cmd_evolve(args):
         rng_seed=seed,
     )
     report = evolve(config, training, validation)
+    stages.lap("search_s")
     out = Path(args.out)
     write_report(report, out)
+    stages.lap("write_s")
     _write_manifest(out, "evolve", {
         "data": args.data, "out": out, "seed": seed, "pop": args.pop,
         "gens": args.gens, "cx": args.cx, "mut": args.mut,
@@ -133,7 +157,7 @@ def cmd_evolve(args):
         "positions": ",".join(str(n) for n in args.positions),
         "train_sequences": len(training),
         "validation_sequences": len(validation),
-    }, time.perf_counter() - started)
+    }, stages)
     print(f"best formula after {report.generations} generations: "
           f"train fitness {report.train_fitness:.4f}, "
           f"validation fitness {report.validation_fitness:.4f}")
@@ -142,7 +166,7 @@ def cmd_evolve(args):
 
 
 def cmd_evaluate(args):
-    started = time.perf_counter()
+    stages = _StageTimer()
     sequences = load_dataset(args.data)
     meta_file = Path(args.data).with_suffix(".meta")
     metadata = read_metadata(meta_file) if meta_file.exists() else {}
@@ -159,6 +183,7 @@ def cmd_evaluate(args):
             methods[name] = formula_method(parse(Path(args.formula).read_text()))
         else:
             methods[name] = METHODS[name]
+    stages.lap("load_s")
 
     report = run_benchmark(
         sequences, methods, args.positions, bins=args.bins,
@@ -166,17 +191,19 @@ def cmd_evaluate(args):
                   "wynn_column": 2, "artifact_version": __version__,
                   **metadata},
     )
+    stages.lap("score_s")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_totals_csv(report, out / "report.csv")
     write_grid_csv(report, out / "grid.csv")
     summary = compare_to_reference(report)
     (out / "compare.txt").write_text(summary)
+    stages.lap("write_s")
     _write_manifest(out, "evaluate", {
         "data": args.data, "out": out, "formula": args.formula or "builtin",
         "methods": args.methods, "bins": args.bins,
         "positions": ",".join(str(n) for n in args.positions),
-    }, time.perf_counter() - started)
+    }, stages)
     print(summary, end="")
     print(f"outputs in {out}")
     return EXIT_OK

@@ -124,8 +124,7 @@ def formula_method(f: Formula):
     program = compile_formula(f)
 
     def method(windows):
-        with np.errstate(over="ignore"):  # the kernel clamps overflow
-            return evaluate_program(program, windows, f.p)
+        return evaluate_program(program, windows, f.p)
 
     return method
 

@@ -165,8 +165,9 @@ def evaluate_program(program: Program, windows: np.ndarray, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim > 1:
         raise InvalidArgumentError(f"p must be a float or 1-D, got shape {p.shape}")
-    out = _eval_program(program.code, program.consts,
-                        np.ascontiguousarray(windows.T), p[..., None])
+    with np.errstate(over="ignore"):  # the sweep clamps overflow itself
+        out = _eval_program(program.code, program.consts,
+                            np.ascontiguousarray(windows.T), p[..., None])
     shape = p.shape + windows.shape[:1]
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 

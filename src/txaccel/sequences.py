@@ -182,10 +182,10 @@ def write_dataset(csv_path, sequences, metadata=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for seq in sequences:
-            for order, value in zip(seq.orders, seq.values):
-                writer.writerow(
-                    [seq.id, _fmt(seq.c), _fmt(seq.width_mfp), order, _fmt(value)]
-                )
+            c, width = _fmt(seq.c), _fmt(seq.width_mfp)
+            writer.writerows([seq.id, c, width, order, f"{value:.17g}"]
+                             for order, value in zip(seq.orders,
+                                                     seq.values.tolist()))
     if metadata is not None:
         write_metadata(metadata_path(csv_path), metadata)
 

@@ -30,6 +30,15 @@ solve and center fluxes computed for the whole stack.  A grid therefore
 solves each (N, c) eigenproblem exactly once, and `solve_sn` is the case
 of one c and one width.  The self-checks (a positive eigenvalue, a bounded
 condition number and a bounded rounding error) hold for every solve.
+
+The condition checks are screened by an upper bound on each 2-norm
+condition number, cond_F = ||B||_F ||B^-1||_F, from one stacked `inv`.
+When twice the bound passes both checks for every c of a stack, the stack
+is cleared; otherwise (or when `inv` finds an exactly singular matrix)
+the singular values of the stack decide, as `np.linalg.cond` would.
+Every pass or fail and every reported condition number is therefore the
+SVD's, and on the default grid no SVD runs.  The coefficients always
+come from `solve`, never from the inverse.
 """
 
 from dataclasses import dataclass
@@ -108,6 +117,45 @@ def _first_failure(passed):
     return int(failed[0]) if failed.size else None
 
 
+def _frobenius_condition(stack):
+    """||B||_F ||B^-1||_F of each matrix B of a stack, an upper bound on
+    its 2-norm condition number, or None when some B is exactly singular."""
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore"):
+        inv_norm = np.linalg.norm(inv, axis=(1, 2))
+        del inv
+        return np.linalg.norm(stack, axis=(1, 2)) * inv_norm
+
+
+def _svd_condition(stack):
+    """2-norm condition numbers of a stack: largest over smallest singular
+    value, the formula numpy's cond uses."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s[:, 0] / s[:, -1]
+
+
+def _solve_center(boundary, psi, length, nu, w_u):
+    """Center fluxes of a stack of boundary systems with particular
+    angular fluxes psi."""
+    coeff = np.linalg.solve(
+        boundary, np.repeat(-psi[:, None, None], boundary.shape[-1], axis=1))
+    coeff *= np.exp(-0.5 * length / nu[:, :, None])
+    return 2.0 * psi + 2.0 * np.matmul(w_u, coeff)[:, 0, 0]
+
+
+def _rounding_bound(condition, psi, center, source):
+    """The boundary solve's rounding error, up to condition * eps relative
+    to the particular flux 2 psi, as a share of the center flux it cancels
+    to."""
+    if not source:
+        return np.zeros(len(center))
+    return condition * _EPS * 2.0 * psi / np.abs(center)
+
+
 def _center_fluxes(order, sigma_t, cs, widths, source):
     """Center fluxes of one quadrature order: a (C, W) array over the
     scattering ratios cs and the widths (in mean free paths).
@@ -159,27 +207,27 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
         # ones, so the vacuum condition at x = 0 alone fixes them.
         boundary = phi_minus * np.exp(-length / nu)[:, None, :]
         boundary += phi_plus
-        # 2-norm condition numbers of the whole stack: largest over
-        # smallest singular value, the formula numpy's cond uses.
-        s = np.linalg.svd(boundary, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            condition = s[:, 0] / s[:, -1]
+        # Screen: twice the Frobenius bound clears every c of the stack
+        # when it passes both checks, and the factor 2 covers the rounding
+        # of the computed inverse.  Otherwise the SVD decides.
+        bound = _frobenius_condition(boundary)
+        if bound is not None:
+            bound *= 2.0
+            if (bound <= MAX_BOUNDARY_CONDITION).all():
+                center = _solve_center(boundary, psi_particular, length, nu, w_u)
+                if (_rounding_bound(bound, psi_particular, center, source)
+                        <= _ROUNDING_TOL).all():
+                    fluxes[:, j] = center
+                    continue
+        condition = _svd_condition(boundary)
         # One singular matrix fails a stacked solve as a whole, so solve
         # only the c values before the first ill-conditioned system.
         ill = _first_failure(condition <= MAX_BOUNDARY_CONDITION)
         solved = len(cs) if ill is None else ill
         psi = psi_particular[:solved]
-        coeff = np.linalg.solve(
-            boundary[:solved],
-            np.repeat(-psi[:, None, None], half, axis=1))
-        coeff *= np.exp(-0.5 * length / nu[:solved, :, None])
-        center = 2.0 * psi + 2.0 * np.matmul(w_u[:solved], coeff)[:, 0, 0]
-
-        # The solve's rounding error, up to cond * eps relative to the
-        # particular flux 2 psi_p, as a share of the center flux it
-        # cancels to.
-        error_bound = (condition[:solved] * _EPS * 2.0 * psi / np.abs(center)
-                       if source else np.zeros(solved))
+        center = _solve_center(boundary[:solved], psi, length, nu[:solved],
+                               w_u[:solved])
+        error_bound = _rounding_bound(condition[:solved], psi, center, source)
         k = _first_failure(error_bound <= _ROUNDING_TOL)
         if k is not None:
             raise NumericalFailureError(

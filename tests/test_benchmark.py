@@ -15,9 +15,9 @@ from txaccel.benchmark import (
 )
 from txaccel.cli import main
 from txaccel.errors import InvalidArgumentError
-from txaccel.evolution import formula_method
+from txaccel.evolution import FitnessEvaluator, formula_method
 from txaccel.sequences import Sequence, Window, write_dataset
-from txaccel.trees import eval_formula, parse, serialize
+from txaccel.trees import aitken_seed, eval_formula, parse, serialize
 
 ORDERS = (20, 28, 36, 44, 52)
 REFERENCE_DATASET = (Path(__file__).resolve().parents[1]
@@ -231,3 +231,14 @@ def test_evaluate_raises_no_runtime_warning(dataset240, tmp_path):
         assert main(["evaluate", "--data", str(data), "--out", str(tmp_path / "a")]) == 0
         assert main(["evaluate", "--data", str(data), "--formula", str(formula),
                      "--out", str(tmp_path / "b")]) == 0
+
+
+def test_fitness_raises_no_runtime_warning():
+    # The wynn-inverse guard sequence's terms near 1e300 overflow the
+    # kernel's products, which it clamps without a warning.
+    evaluator = FitnessEvaluator(guard_sequences(), (20, 24, 28))
+    squares = parse("(formula :p 1.0 :num (mul Sn Sn) :den (add Snm1 p))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluator.fitness(squares)
+        evaluator.fitness(aitken_seed())

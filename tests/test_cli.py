@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from txaccel.cli import main
@@ -7,6 +9,21 @@ from txaccel.trees import parse
 
 def run(*argv):
     return main(list(argv))
+
+
+def manifest_times(directory):
+    """The manifest's stage timings and its duration, in file order."""
+    pairs = [line.split("=", 1) for line in
+             (directory / "manifest.txt").read_text().splitlines()]
+    return {key: float(value) for key, value in pairs if key.endswith("_s")}
+
+
+def check_stage_times(directory, stages):
+    times = manifest_times(directory)
+    assert list(times) == [*stages, "duration_s"]
+    assert all(seconds >= 0.0 for seconds in times.values())
+    # Each figure is rounded to 1 ms; the stages lie within the duration.
+    assert sum(times[stage] for stage in stages) <= times["duration_s"] + 0.002
 
 
 @pytest.fixture()
@@ -29,6 +46,7 @@ class TestGenerate:
         manifest = (tiny_dataset.parent / "manifest.txt").read_text()
         assert "command=generate" in manifest
         assert "seed=1" in manifest
+        check_stage_times(tiny_dataset.parent, ["solve_s", "write_s"])
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -36,6 +54,15 @@ class TestGenerate:
             assert run("generate", "--out", str(out), "--seed", "7",
                        "--c-count", "3", "--widths", "1") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_dataset_bytes(self, tmp_path):
+        # Pins the transport's values and the writer's formatting together.
+        out = tmp_path / "dataset.csv"
+        assert run("generate", "--out", str(out), "--seed", "3",
+                   "--c-count", "7", "--widths", "0.5,3,30", "--n-step", "2",
+                   "--n-max", "64") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3e73bef0b4d77edd6e44b8235476fb7ae1cf0e33de1f4c10ce06edc5b1c07e5f")
 
     def test_row_count_of_default_shape(self, tiny_dataset):
         lines = tiny_dataset.read_text().splitlines()
@@ -88,7 +115,7 @@ class TestEvolve:
         assert runlog[0] == "generation,best_fitness,mean_fitness,evals"
         best = [float(line.split(",")[1]) for line in runlog[1:]]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
-        assert (out / "manifest.txt").exists()
+        check_stage_times(out, ["load_s", "search_s", "write_s"])
         assert (out / "summary.txt").exists()
 
     def test_identical_seed_identical_formula_bytes(self, tiny_dataset, tmp_path):
@@ -133,7 +160,7 @@ class TestEvaluate:
         assert names == {"aitken", "wynn", "evolved"}
         assert (out / "grid.csv").exists()
         assert "reference" in (out / "compare.txt").read_text()
-        assert (out / "manifest.txt").exists()
+        check_stage_times(out, ["load_s", "score_s", "write_s"])
 
     def test_method_filter(self, tiny_dataset, tmp_path):
         out = tmp_path / "only"

@@ -182,6 +182,16 @@ class TestDatasetIo:
         with pytest.raises(InvalidArgumentError, match="'s000': c must be in"):
             load_dataset(path)
 
+    def test_ids_are_quoted_when_needed(self, tmp_path):
+        seqs = [make_sequence([0.5, 0.25], seq_id='a,"b"'),
+                make_sequence([0.5, 0.25], seq_id="plain")]
+        path = tmp_path / "data.csv"
+        write_dataset(path, seqs)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith('"a,""b""",')
+        assert lines[3].startswith("plain,")
+        assert [s.id for s in load_dataset(path)] == ['a,"b"', "plain"]
+
     def test_write_is_deterministic(self, tmp_path):
         seqs = [make_sequence([1 / 3, 2 / 7, 0.123456789012345678], seq_id="s0")]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

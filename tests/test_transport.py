@@ -172,7 +172,9 @@ class TestErrors:
             self, monkeypatch):
         # At order 4 and width 10 the boundary condition number is about
         # 1.81 for c = 0.5 and 2.01 for c = 0.9.  The first c fails only
-        # the rounding bound, the second only the condition limit.
+        # the rounding bound, the second only the condition limit.  The
+        # Frobenius bound there is 2.36, so reporting it instead of the
+        # SVD value fails the last check.
         monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 1.9)
         monkeypatch.setattr(transport_module, "_ROUNDING_TOL", 0.0)
         config = DatasetConfig(c_min=0.5, c_max=0.9, c_count=2,
@@ -181,6 +183,109 @@ class TestErrors:
             generate_grid(config)
         assert err.value.diagnostics["c"] == 0.5
         assert 1.8 < err.value.diagnostics["condition"] < 1.9
+
+
+def boundary_failures():
+    """Message and diagnostics of each failing solve of the tests above,
+    plus one ill-conditioned system (c = 0.9 under a limit of 1.9)."""
+    limit = transport_module.MAX_BOUNDARY_CONDITION
+    cases = [
+        (limit, lambda: solve_sn(SlabProblem(scattering_ratio=0.999999,
+                                            width=0.05), 64)),
+        (limit, lambda: generate_grid(DatasetConfig(
+            c_min=0.9999, c_max=0.999999, c_count=2, widths=(0.1, 0.02),
+            orders=(4, 64)))),
+        (limit, lambda: generate_grid(DatasetConfig(
+            c_min=0.99999, c_max=0.999999, c_count=2, widths=(0.1,),
+            orders=(4,)))),
+        (1.9, lambda: generate_grid(DatasetConfig(
+            c_min=0.5, c_max=0.9, c_count=2, widths=(10.0,), orders=(4,)))),
+    ]
+    failures = []
+    for limit, solve in cases:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", limit)
+            with pytest.raises(NumericalFailureError) as err:
+                solve()
+        failures.append((str(err.value), err.value.diagnostics))
+    return failures
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """Shapes of the stacks passed to np.linalg.svd during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(stack, *args, **kwargs):
+        calls.append(stack.shape)
+        return svd(stack, *args, **kwargs)
+
+    monkeypatch.setattr(transport_module.np.linalg, "svd", counting_svd)
+    return calls
+
+
+class TestConditionScreen:
+    """The Frobenius bound clears boundary stacks without an SVD; the SVD
+    decides whatever it does not clear."""
+
+    def test_default_grid_runs_no_svd(self, svd_calls, dataset240):
+        grid = generate_dataset(rng_seed=0)
+        assert svd_calls == []
+        for got, want in zip(grid, dataset240):
+            assert np.array_equal(got.values, want.values), got.id
+        # A stack the bound cannot clear goes to the SVD.
+        with pytest.raises(NumericalFailureError):
+            solve_sn(SlabProblem(scattering_ratio=0.999999, width=0.05), 64)
+        assert svd_calls == [(1, 32, 32)]
+
+    def test_margin_of_two_sends_near_limit_stacks_to_svd(self, svd_calls,
+                                                          monkeypatch):
+        # At order 4 and width 10, cond_2 is 1.81 and 2.01 and the
+        # Frobenius bound 2.36 and 2.50: under a limit of 3 the bound
+        # passes, twice the bound does not.
+        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 3.0)
+        generate_grid(DatasetConfig(c_min=0.5, c_max=0.9, c_count=2,
+                                    widths=(10.0,), orders=(4,)))
+        assert svd_calls == [(2, 2, 2)]
+
+    def test_singular_inverse_falls_back_to_svd(self, monkeypatch, dataset240):
+        expected = boundary_failures()
+
+        def singular(stack):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(transport_module.np.linalg, "inv", singular)
+        grid = generate_dataset(rng_seed=0)
+        for got, want in zip(grid, dataset240):
+            assert np.array_equal(got.values, want.values), got.id
+        assert boundary_failures() == expected
+
+    @pytest.mark.parametrize("n", range(2, 27))
+    def test_frobenius_bound_exceeds_2_norm_condition(self, n):
+        rng = np.random.default_rng(n)
+        # Near-singular: one singular value 10^-k below the rest, or a
+        # spectrum graded down to 10^-k, for k up to 12; then random
+        # singular values in [0.5, 1] and Gaussian matrices.
+        k = np.arange(13.0)
+        one_small = np.ones((13, n))
+        one_small[:, -1] = 10.0 ** -k
+        graded = 10.0 ** -np.outer(k[1:], np.linspace(0.0, 1.0, n))
+        spectra = np.concatenate([one_small, graded,
+                                  rng.uniform(0.5, 1.0, (8, n))])
+        left, _ = np.linalg.qr(rng.standard_normal((len(spectra), n, n)))
+        right, _ = np.linalg.qr(rng.standard_normal((len(spectra), n, n)))
+        stack = np.concatenate([left @ (spectra[:, :, None] * right),
+                                rng.standard_normal((16, n, n))])
+        cond_f = transport_module._frobenius_condition(stack)
+        cond_2 = np.linalg.cond(stack)
+        # Exact arithmetic gives cond_F > cond_2, but by a relative margin
+        # that can be as small as 1 / cond_2^2 (at n = 2), while each
+        # computed value is off by a relative error of order n eps cond_2.
+        eps = np.finfo(float).eps
+        assert np.all(cond_f >= cond_2 * (1.0 - n * eps * cond_2))
+        # The screen's margin of 2 covers that rounding.
+        assert np.all(2.0 * cond_f >= cond_2)
 
 
 class TestAccuracy:
