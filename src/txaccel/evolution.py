@@ -11,10 +11,14 @@ Fitness is the fraction of (sequence, position) comparisons where the
 formula's consecutive relative error strictly beats the raw sequence's
 error at the same position.  Invalid outputs (a vanishing accelerated
 value makes the relative error undefined) count as losses.  The training
-set is one ``ComparisonMatrix`` and a fitness call is one kernel call on
-its windows, for one p-value or a whole vector of them, scored by the
-matrix's win rule: the one ``evaluate`` uses, so a formula's fitness is
-its ``evaluate`` success rate on the same sequences and positions.
+set is one ``ComparisonMatrix`` and a fitness call scores one p-value or
+a whole vector of them on its windows, by the matrix's win rule: the one
+``evaluate`` uses, so a formula's fitness is its ``evaluate`` success
+rate on the same sequences and positions.  A vector of p is swept in
+blocks of about BLOCK_ELEMENTS values (p-values times windows), one
+kernel call per block, all in one kernel workspace that the evaluator
+keeps: the p-scan then reuses a few cache-sized buffers instead of
+faulting in fresh (P, n) temporaries on each of its calls.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfigError
-from .kernels import compile_formula, evaluate_program
+from .kernels import Workspace, compile_formula, evaluate_program
 from .sequences import ComparisonMatrix
 from .trees import (
     Formula,
@@ -53,6 +57,11 @@ P_SCAN = np.concatenate((np.linspace(*P_RANGE, 129),
 REFINE_POINTS = 65
 REFINE_MIN = 1.0 / 32.0
 REFINE_RELATIVE = 10.0 ** 0.25 - 1.0
+
+#: Elements of one block of the p-scan, p-values times windows: about
+#: 1 MiB per float64 buffer of the kernel's workspace, so that a block's
+#: opcodes run near the L2 cache instead of streaming from memory.
+BLOCK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,11 @@ class EvolutionConfig:
 class FitnessEvaluator(ComparisonMatrix):
     """The comparison matrix of one sequence set, scored on the kernel.
 
-    ``fitness_program`` is a single kernel call on ``windows`` and one
-    ``score``: the win rule of ``evaluate``, without its invalid mask.
-    ``evals`` counts the p-values scored.
+    ``fitness_program`` scores a vector of p in blocks of ``block_rows``
+    p-values: per block one kernel call on ``windows`` and one ``score``
+    (the win rule of ``evaluate`` without its invalid mask), all in the
+    ``kernels.Workspace`` that the evaluator makes on its first call and
+    keeps.  ``evals`` counts the p-values scored.
     """
 
     def __init__(self, sequences, orders):
@@ -106,13 +117,24 @@ class FitnessEvaluator(ComparisonMatrix):
         if not self.sequences:
             raise InvalidConfigError("sequence set must be non-empty")
         self.evals = 0
+        self.block_rows = max(1, BLOCK_ELEMENTS // self.windows.shape[0])
+        self._workspace = None
 
     def fitness_program(self, program, p):
         """Fitness at ``p``: a float, or one per entry of a 1-D array."""
-        accel = evaluate_program(program, self.windows, p)
-        self.evals += np.size(p)
-        fit = np.count_nonzero(self.score(accel), axis=-1) / self.comparisons
-        return fit if np.ndim(p) else float(fit)
+        if self._workspace is None:
+            self._workspace = Workspace(self.windows, self.block_rows)
+        ps = np.atleast_1d(p)
+        wins = np.empty(ps.shape, dtype=np.intp)
+        for start in range(0, ps.size, self.block_rows):
+            block = ps[start:start + self.block_rows]
+            accel = evaluate_program(program, self.windows, block, self._workspace)
+            mask = self._workspace.mask((block.size, self.comparisons))
+            wins[start:start + block.size] = np.count_nonzero(
+                self.score(accel, out=mask), axis=-1)
+        self.evals += ps.size
+        fit = wins / self.comparisons
+        return fit if np.ndim(p) else float(fit[0])
 
     def fitness(self, f: Formula) -> float:
         return self.fitness_program(compile_formula(f), f.p)

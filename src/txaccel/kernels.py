@@ -7,19 +7,25 @@ The learnable parameter p may be one float or a vector of P values; a
 vector broadcasts against the window columns, so one call scores every
 p-value at once and returns a (P, n_windows) matrix.
 
-The sweep works in place.  Window columns, p and constants enter as
-views that are only read; each opcode writes into an earlier opcode's
-temporary when one has the result's shape, then clamps or guards that
-result in place, and the rare branches (+-inf replacement, the
-protected-division guard) only run when a result needs them.  Each step
-is the same IEEE operation as in the scalar evaluator, so every row
-reproduces trees.eval_formula bit for bit at its p, NaN included: the
-recursive scalar evaluator stays the reference semantics and this module
-is purely the fast path.  The mean cost of one call is the
-``kernels.evaluate_program.us`` metric of
+The sweep allocates nothing per opcode.  Window columns, p and
+constants enter as views that are only read; every other value is
+written into a ``Workspace``: one float buffer per stack slot, where an
+opcode's result goes into the buffer of the slot it lands in, and one
+bool buffer for the overflow and division-guard masks.  Results are
+clamped or guarded in place, and the rare branches (+-inf replacement,
+the protected-division guard) only run when a result needs them.  A
+caller that sweeps the same windows again and again (the fitness's
+p-scan) keeps one workspace, so the buffers are allocated once; without
+one, a call makes a throwaway workspace sized for its own p-vector.
+Each step is the same IEEE operation as in the scalar evaluator, so
+every row reproduces trees.eval_formula bit for bit at its p, NaN
+included: the recursive scalar evaluator stays the reference semantics
+and this module is purely the fast path.  The mean cost of one call is
+the ``kernels.evaluate_program.us`` metric of
 ``perfbench/run.py --workload evolve-fixed --trace 1``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,34 +93,68 @@ def compile_formula(f: Formula) -> Program:
                    consts=np.asarray(consts, dtype=np.float64))
 
 
-def _clamp_overflow(v):
+def _clamp_overflow(v, workspace):
     """Pull +-inf in ``v`` back to +-CLAMP in place; NaN passes through."""
-    if not np.isfinite(v).all():
-        v[v == np.inf] = CLAMP
-        v[v == -np.inf] = -CLAMP
+    mask = workspace.mask(v.shape)
+    if not np.isfinite(v, out=mask).all():
+        np.copyto(v, CLAMP, where=np.equal(v, np.inf, out=mask))
+        np.copyto(v, -CLAMP, where=np.equal(v, -np.inf, out=mask))
     return v
 
 
-def _scratch(a, b):
-    """An operand that is a temporary of the result's shape, else None.
+class Workspace:
+    """The memory the sweep writes into, for one window matrix and up to
+    ``rows`` p-values per call.
 
-    Shared inputs reach the sweep as views, so an array that owns its data
-    was made by an earlier opcode and may take the result.
+    One flat float64 buffer per stack slot and one bool buffer, each made
+    on first use and each large enough for a (rows, n) block plus an (n,)
+    or (rows, 1) value.  An opcode writes its result into a view of the
+    buffer of the stack slot the result lands in, so no buffer is written
+    while a value lower on the stack still reads it.  The window columns
+    are transposed once, here.
     """
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    for v in (a, b):
-        if v.flags.owndata and v.shape == shape:
-            return v
-    return None
+
+    def __init__(self, windows, rows):
+        self.windows = windows
+        self.columns = np.ascontiguousarray(windows.T)
+        self.rows = rows
+        n = windows.shape[0]
+        self._head = rows * n
+        self._size = self._head + max(rows, n, 1)
+        self._slots = []
+        self._mask = None
+
+    def slot(self, i, shape):
+        """A ``shape`` view of the float buffer of stack slot ``i``.
+
+        A result of shape (n,), (rows, 1) or smaller sits in the tail after
+        the head of ``rows * n`` elements and a larger one fills the head,
+        so an opcode that broadcasts a small temporary of its own slot to
+        a block never writes over it: numpy would copy the whole output to
+        resolve that overlap.
+        """
+        while len(self._slots) <= i:
+            self._slots.append(np.empty(self._size))
+        size = math.prod(shape)
+        start = self._head if size <= self._size - self._head else 0
+        return self._slots[i][start:start + size].reshape(shape)
+
+    def mask(self, shape):
+        """A ``shape`` view of the bool buffer."""
+        if self._mask is None:
+            self._mask = np.empty(self._size, dtype=bool)
+        return self._mask[:math.prod(shape)].reshape(shape)
 
 
-def _eval_program(code, consts, columns, p_column):
+def _eval_program(code, consts, p_column, workspace):
     """Result of the postfix sweep; it broadcasts to (..., n).
 
-    ``columns`` holds the four window columns as rows and ``p_column`` the
-    p-values as a column, so a subtree without p stays one row long and a
-    constant stays one element long.
+    The window columns are rows of ``workspace.columns`` and ``p_column``
+    holds the p-values as a column, so a subtree without p stays one row
+    long and a constant stays one element long.  The result is a view of
+    slot 0's buffer.
     """
+    columns = workspace.columns
     stack = []
     for k in range(code.shape[0]):
         op = int(code[k])
@@ -125,37 +165,55 @@ def _eval_program(code, consts, columns, p_column):
         elif op == OP_CONST:
             stack.append(consts[k:k + 1])
         elif op == OP_D2:
-            stack.append(_clamp_overflow(columns[0] - 2.0 * columns[1] + columns[2]))
+            v = workspace.slot(len(stack), columns.shape[1:])
+            np.multiply(2.0, columns[1], out=v)
+            np.subtract(columns[0], v, out=v)
+            np.add(v, columns[2], out=v)
+            stack.append(_clamp_overflow(v, workspace))
         elif op == OP_SQ:
             a = stack.pop()
-            v = np.multiply(a, a, out=a if a.flags.owndata else None)
+            v = workspace.slot(len(stack), a.shape)
+            np.multiply(a, a, out=v)
             stack.append(np.minimum(v, CLAMP, out=v))
         else:
             b = stack.pop()
             a = stack.pop()
+            # The result lands in a's slot; b's slot and the ones above are free.
+            v = workspace.slot(len(stack), np.broadcast(a, b).shape)
             if op == OP_ADD:
-                v = _clamp_overflow(np.add(a, b, out=_scratch(a, b)))
+                _clamp_overflow(np.add(a, b, out=v), workspace)
             elif op == OP_SUB:
-                v = _clamp_overflow(np.subtract(a, b, out=_scratch(a, b)))
+                _clamp_overflow(np.subtract(a, b, out=v), workspace)
             elif op == OP_MUL:
-                v = np.multiply(a, b, out=_scratch(a, b))
+                np.multiply(a, b, out=v)
                 np.clip(v, -CLAMP, CLAMP, out=v)
             else:  # OP_DIV
-                guarded = np.abs(b) < DIV_GUARD
+                divisor = workspace.slot(len(stack) + 2, b.shape)
+                guarded = np.less(np.abs(b, out=divisor), DIV_GUARD,
+                                  out=workspace.mask(b.shape))
                 if guarded.any():
-                    v = _clamp_overflow(a / np.where(guarded, 1.0, b))
-                    v[np.broadcast_to(guarded, v.shape)] = DIV_PROTECTED_VALUE
+                    np.copyto(divisor, b)
+                    np.copyto(divisor, 1.0, where=guarded)
+                    np.divide(a, divisor, out=v)
+                    # Guarded entries are finite, so filling them before
+                    # the clamp gives what filling them after would.
+                    np.copyto(v, DIV_PROTECTED_VALUE, where=guarded)
+                    _clamp_overflow(v, workspace)
                 else:
-                    v = _clamp_overflow(np.divide(a, b, out=_scratch(a, b)))
+                    _clamp_overflow(np.divide(a, b, out=v), workspace)
             stack.append(v)
     return stack[0]
 
 
-def evaluate_program(program: Program, windows: np.ndarray, p) -> np.ndarray:
+def evaluate_program(program: Program, windows: np.ndarray, p,
+                     workspace: Workspace = None) -> np.ndarray:
     """Evaluate a compiled program over every window row.
 
     ``p`` is a float, giving shape (n,), or a 1-D array of P values,
-    giving shape (P, n) with row i evaluated at ``p[i]``.
+    giving shape (P, n) with row i evaluated at ``p[i]``.  Without a
+    ``workspace`` the result is a fresh array.  With one (made for this
+    very ``windows`` array and at least P rows) the result is a view of
+    its buffers, valid until the workspace's next call.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] != 4:
@@ -165,11 +223,22 @@ def evaluate_program(program: Program, windows: np.ndarray, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim > 1:
         raise InvalidArgumentError(f"p must be a float or 1-D, got shape {p.shape}")
+    if workspace is None:
+        workspace = Workspace(windows, p.size)
+    elif workspace.windows is not windows or p.size > workspace.rows:
+        raise InvalidArgumentError(
+            "a workspace serves only the window matrix it was made for, at "
+            f"up to {workspace.rows} p-values per call; got {p.size}"
+        )
     with np.errstate(over="ignore"):  # the sweep clamps overflow itself
-        out = _eval_program(program.code, program.consts,
-                            np.ascontiguousarray(windows.T), p[..., None])
+        out = _eval_program(program.code, program.consts, p[..., None], workspace)
     shape = p.shape + windows.shape[:1]
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    if out.shape == shape:
+        return out
+    # Slot 1 held the final division's denominator and is free now.
+    full = workspace.slot(1, shape)
+    np.copyto(full, out)
+    return full
 
 
 def evaluate_formula_batch(f: Formula, windows: np.ndarray, p=None) -> np.ndarray:

@@ -14,6 +14,7 @@ search's fitness both score through it.
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -53,17 +54,18 @@ class Sequence:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-        if len(self.orders) != values.shape[0] or len(self.orders) < 1:
+        orders = tuple(map(int, self.orders))
+        object.__setattr__(self, "orders", orders)
+        if len(orders) != values.shape[0] or len(orders) < 1:
             raise InvalidArgumentError(
                 f"sequence {self.id!r}: orders and values must have equal "
-                f"nonzero length ({len(self.orders)} vs {values.shape[0]})"
+                f"nonzero length ({len(orders)} vs {values.shape[0]})"
             )
-        if any(b <= a for a, b in zip(self.orders, self.orders[1:])):
+        if not all(map(operator.lt, orders, orders[1:])):
             raise InvalidArgumentError(
                 f"sequence {self.id!r}: orders must be strictly increasing"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidArgumentError(
                 f"sequence {self.id!r}: all values must be finite"
             )
@@ -125,24 +127,26 @@ class ComparisonMatrix:
             ends.append(i)
         return np.array(ends, dtype=np.intp)
 
-    def score(self, values, invalid=False):
+    def score(self, values, invalid=False, out=None):
         """Win mask of a method's ``values`` on ``windows``, shape (..., 2m).
 
         A comparison is a win when the method's relative error is strictly
         below the raw error, and invalid when that error is not finite (an
         INVALID value or a vanishing current value).  ``values`` is
-        overwritten.  With ``invalid`` the invalid mask comes back too.
+        overwritten.  A bool ``out`` of the mask's shape receives the win
+        mask.  With ``invalid`` the invalid mask comes back too.
         """
-        err = relative_errors(values)
-        wins = err < self.raw_errors
+        err = relative_errors(values, out)
+        wins = np.less(err, self.raw_errors, out=out)
         return (wins, ~np.isfinite(err)) if invalid else wins
 
 
-def relative_errors(values):
+def relative_errors(values, mask=None):
     """|curr - prev| / |curr| of [prev; curr] on the last axis, in place.
 
     Entries with |curr| < TINY_DENOMINATOR read UNDEFINED_ERROR.  The
-    errors overwrite the prev half, which is returned.
+    errors overwrite the prev half, which is returned.  A bool ``mask`` of
+    the result's shape is scratch space for finding those entries.
     """
     m = values.shape[-1] // 2
     prev = values[..., :m]
@@ -152,7 +156,8 @@ def relative_errors(values):
         np.abs(err, out=err)
         np.abs(curr, out=curr)
         np.divide(err, curr, out=err)
-    err[curr < TINY_DENOMINATOR] = UNDEFINED_ERROR
+    np.copyto(err, UNDEFINED_ERROR,
+              where=np.less(curr, TINY_DENOMINATOR, out=mask))
     return err
 
 
@@ -208,7 +213,12 @@ def read_metadata(path) -> dict:
 
 
 def load_dataset(csv_path) -> list:
-    """Read a dataset CSV back into Sequence objects, preserving file order."""
+    """Read a dataset CSV back into Sequence objects, preserving file order.
+
+    A row that does not parse, or that gives its sequence another c or
+    width than the sequence's first row does, raises InvalidArgumentError
+    naming the file and the line.
+    """
     csv_path = Path(csv_path)
     rows_by_id = {}
     with open(csv_path, newline="") as fh:
@@ -222,13 +232,28 @@ def load_dataset(csv_path) -> list:
         for row in reader:
             if not row:
                 continue
-            seq_id, c, width, order, value = row
-            entry = rows_by_id.setdefault(seq_id, {"c": float(c), "width": float(width),
-                                                   "orders": [], "values": []})
-            entry["orders"].append(int(order))
-            entry["values"].append(float(value))
+            try:
+                seq_id, c, width, order, value = row
+                # (c text, width text, c, width, orders, values)
+                entry = rows_by_id.get(seq_id)
+                if entry is None:
+                    entry = rows_by_id[seq_id] = (c, width, float(c), float(width),
+                                                  [], [])
+                elif ((c != entry[0] or width != entry[1])
+                      and (float(c), float(width)) != entry[2:4]):
+                    raise ValueError(
+                        f"sequence {seq_id!r} has c={c}, width_mfp={width} here "
+                        f"but c={entry[0]}, width_mfp={entry[1]} in its first row"
+                    )
+                entry[4].append(int(order))
+                entry[5].append(float(value))
+            except ValueError as exc:
+                detail = (f"expected {len(DATASET_HEADER)} fields, got {len(row)}"
+                          if len(row) != len(DATASET_HEADER) else exc)
+                raise InvalidArgumentError(
+                    f"{csv_path}, line {reader.line_num}: {detail}") from None
     return [
-        Sequence(id=seq_id, c=e["c"], width_mfp=e["width"],
-                 orders=tuple(e["orders"]), values=np.array(e["values"]))
-        for seq_id, e in rows_by_id.items()
+        Sequence(id=seq_id, c=c, width_mfp=width, orders=orders,
+                 values=np.array(values))
+        for seq_id, (_, _, c, width, orders, values) in rows_by_id.items()
     ]

@@ -206,6 +206,19 @@ class TestEvaluate:
         assert f"sequence {first!r}: c must be in [0, 1]" in capsys.readouterr().err
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("a,0.5,1", "line 2: expected 5 fields, got 3"),
+        ("a,0.5,1,x8,0.25", "line 2: invalid literal for int() with base 10: 'x8'"),
+        ("a,0.5,1,4,0.25\na,0.75,1,8,0.5", "line 3: sequence 'a' has c=0.75"),
+    ])
+    def test_malformed_row_is_usage_error(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"sequence_id,c,width_mfp,order,center_flux\n{row}\n")
+        out = tmp_path / "x"
+        assert run("evaluate", "--data", str(bad), "--out", str(out)) == 2
+        assert f"error: {bad}, {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_bin(self, tiny_dataset, tmp_path):
         out = tmp_path / "b1"
         assert run("evaluate", "--data", str(tiny_dataset), "--bins", "1",

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import aitken, is_invalid, scalar_scores
+from txaccel import evolution
 from txaccel.errors import InsufficientHistoryError, InvalidConfigError
 from txaccel.evolution import (
     EvolutionConfig,
@@ -15,9 +18,10 @@ from txaccel.evolution import (
     tournament_select,
     write_report,
 )
-from txaccel.kernels import compile_formula
-from txaccel.sequences import Sequence, Window
+from txaccel.kernels import compile_formula, evaluate_program
+from txaccel.sequences import TINY_DENOMINATOR, Sequence, Window
 from txaccel.trees import (
+    DIV_GUARD,
     Formula,
     Node,
     eval_formula,
@@ -159,6 +163,101 @@ class TestFitness:
         for p, fit in zip(ps, fits):
             assert evaluator.fitness_program(program, p) == fit
         assert evaluator.evals == 2 * len(ps)
+
+    # Programs whose results have every shape the kernel makes: p-free
+    # (n,), p-only (P, 1) and (P, n); between them they hit the protected
+    # division, both overflow clamps and, at p = +-inf or nan, NaN.
+    BLOCK_PROGRAMS = (
+        "(formula :p 0.5 :num (sub (mul Sn (d2)) (sq (sub Sn Snm1))) :den (add (d2) p))",
+        "(formula :p 0.5 :num (sub (mul Sn (d2)) (sq (sub Sn Snm1))) :den (d2))",
+        "(formula :p 1.0 :num (add (mul p Sn) (add Sn Snm1)) :den (sub (sq p) (d2)))",
+        "(formula :p 0.3 :num (add Sn (mul p (sub Sn Snm1))) :den 1.0)",
+        "(formula :p 1.0 :num p :den 2.0)",
+    )
+    P_POOL = np.concatenate((np.linspace(-2.0, 2.0, 37),
+                             [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e160],
+                             np.logspace(-4, 6, 11)))
+
+    @staticmethod
+    def extreme_evaluator():
+        """Geometric sequences beside ones whose windows reach the kernel's
+        and the score's rare branches: a line (d2 below DIV_GUARD), terms
+        near the top of the float range (overflowing sums), and terms near
+        2**-960 (values below TINY_DENOMINATOR)."""
+        orders = tuple(range(4, 53, 4))
+        k = np.arange(13.0)
+        extra = [Sequence(id=name, c=0.5, width_mfp=1.0, orders=orders, values=values)
+                 for name, values in (("line", 1.0 + 0.1 * k),
+                                      ("huge", 1e308 * (0.9 + 0.5 ** (k + 1))),
+                                      ("tiny", 2.0 ** -960 + k * 2.0 ** -1010))]
+        # Enough sequences that a block holds fewer than 217 p-values.
+        return FitnessEvaluator(geometric_training_set(61) + extra, ORDERS)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("size", ["1", "R-1", "R", "R+1", "2R+5", "217"])
+    def test_blocked_fitness_equals_one_unblocked_call(self, size):
+        evaluator = self.extreme_evaluator()
+        sn, snm1, snm2 = evaluator.windows[:, :3].T
+        assert (np.abs(sn - 2.0 * snm1 + snm2) < DIV_GUARD).any()
+        assert np.isinf(sn + snm1).any()
+        rows = evaluator.block_rows
+        assert 1 < rows < 217
+        count = {"1": 1, "R-1": rows - 1, "R": rows, "R+1": rows + 1,
+                 "2R+5": 2 * rows + 5, "217": 217}[size]
+        ps = np.resize(self.P_POOL, count)
+        wins = tiny = 0
+        for text in self.BLOCK_PROGRAMS:
+            program = compile_formula(parse(text))
+            accel = evaluate_program(program, evaluator.windows, ps)
+            tiny += np.count_nonzero(np.abs(accel) < TINY_DENOMINATOR)
+            expected = (np.count_nonzero(evaluator.score(accel), axis=-1)
+                        / evaluator.comparisons)
+            fits = evaluator.fitness_program(program, ps)
+            assert np.array_equal(fits.view(np.uint64), expected.view(np.uint64))
+            wins += np.count_nonzero(fits)
+        assert wins > 0 and tiny > 0
+        assert evaluator.evals == count * len(self.BLOCK_PROGRAMS)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_evaluator_scores_programs_back_to_back(self):
+        # The evaluator keeps its workspace between calls; a call must not
+        # see what the previous program left in it.
+        evaluator = self.extreme_evaluator()
+        rng = np.random.default_rng(3)
+        texts = self.BLOCK_PROGRAMS + self.BLOCK_PROGRAMS[::-1]
+        for text in texts:
+            ps = rng.choice(self.P_POOL, int(rng.integers(1, 3 * evaluator.block_rows)))
+            program = compile_formula(parse(text))
+            fresh = self.extreme_evaluator()
+            assert np.array_equal(evaluator.fitness_program(program, ps),
+                                  fresh.fitness_program(program, ps))
+            assert evaluator.fitness_program(program, ps[0]) == fresh.fitness_program(
+                program, ps[:1])[0]
+
+    def test_repeated_scan_allocates_no_block(self, dataset240, monkeypatch):
+        # A repeated scan must run in the evaluator's kept workspace.  At
+        # the default block size a fresh (rows, n) float temporary would
+        # show; at a block of 2**20 elements, scored as one full block, so
+        # would a fresh (rows, n) bool mask of about 1 MiB.  What remains
+        # are numpy's fixed-size iteration buffers, about 180 KiB.
+        train, _ = split_dataset(dataset240, 0.70, 1)
+        program = compile_formula(parse(
+            "(formula :p 0.5 :num (sub (mul Sn (d2)) (sq (sub Sn Snm1)))"
+            " :den (add (d2) p))"))
+        ps = np.resize(self.P_POOL, 217)
+        for block, limit in ((evolution.BLOCK_ELEMENTS, 1 << 20), (1 << 20, 1 << 18)):
+            monkeypatch.setattr(evolution, "BLOCK_ELEMENTS", block)
+            evaluator = FitnessEvaluator(train, ORDERS)
+            scan = np.resize(ps, max(217, evaluator.block_rows))
+            evaluator.fitness_program(program, scan)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                evaluator.fitness_program(program, scan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before < limit
 
     def test_insufficient_history_is_reported(self):
         short = Sequence(id="s", c=0.5, width_mfp=1.0,

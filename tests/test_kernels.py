@@ -142,6 +142,55 @@ def test_formula_without_window_terms_fills_every_row():
     assert np.array_equal(out, np.array([[0.5] * 5, [0.75] * 5]))
 
 
+def test_result_without_workspace_is_fresh_and_writable():
+    # A p-free program (shape (n,) before broadcasting), a p-only one
+    # (shape (P, 1)) and a mixed one, at a float p and a vector of p.
+    windows = random_windows(np.random.default_rng(47), 6)
+    for text in ("(formula :p 0.5 :num (sub Sn Snm1) :den (d2))",
+                 "(formula :p 0.5 :num p :den 2.0)",
+                 "(formula :p 0.5 :num (add Sn p) :den (d2))"):
+        program = compile_formula(parse(text))
+        for p in (0.5, np.array([0.5, -1.0, 3.0])):
+            first = kernels.evaluate_program(program, windows, p)
+            second = kernels.evaluate_program(program, windows, p)
+            assert first.shape == np.shape(p) + (6,) and first.flags.writeable
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, windows)
+            first[...] = 0.0
+            assert np.array_equal(second, kernels.evaluate_program(program, windows, p))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reused_workspace_matches_fresh_sweeps_bitwise():
+    # One workspace serves programs of every shape and p-vectors of every
+    # length up to its rows, in any order, and leaves no stale values.
+    rng = np.random.default_rng(48)
+    windows = extreme_windows(rng, 60)
+    workspace = kernels.Workspace(windows, rows=7)
+    texts = BRANCH_FORMULAS + ("(formula :p 0.5 :num p :den 2.0)",
+                               "(formula :p 0.5 :num (sub Sn Snm1) :den (d2))",
+                               "(formula :p 0.5 :num (add 1.0 (sq 3.0)) :den p)")
+    programs = [compile_formula(parse(text)) for text in texts]
+    programs += [compile_formula(random_formula(4, "grow", rng)) for _ in range(40)]
+    for program in programs + programs[::-1]:
+        size = int(rng.integers(1, 8))
+        ps = rng.choice(EXTREME_PS, size)
+        for p in (ps, ps[0]):
+            reused = kernels.evaluate_program(program, windows, p, workspace)
+            fresh = kernels.evaluate_program(program, windows, p)
+            assert np.array_equal(reused.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_workspace_must_fit_the_call():
+    windows = np.ones((5, 4))
+    workspace = kernels.Workspace(windows, rows=2)
+    program = compile_formula(parse("(formula :p 0.5 :num (add Sn p) :den 2.0)"))
+    with pytest.raises(InvalidArgumentError, match="workspace"):
+        kernels.evaluate_program(program, windows, np.zeros(3), workspace)
+    with pytest.raises(InvalidArgumentError, match="workspace"):
+        kernels.evaluate_program(program, windows.copy(), np.zeros(2), workspace)
+
+
 def test_compiled_program_shape():
     f = random_formula(4, "full", np.random.default_rng(44))
     prog = compile_formula(f)

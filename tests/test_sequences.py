@@ -182,6 +182,30 @@ class TestDatasetIo:
         with pytest.raises(InvalidArgumentError, match="'s000': c must be in"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("s000,0.5,1,12", "line 4: expected 5 fields, got 4"),
+        ("s000,0.5,1,12,0.7,9", "line 4: expected 5 fields, got 6"),
+        ("s000,0.5,1,x12,0.7", "line 4: invalid literal for int"),
+        ("s000,0.5,1,12,zero", "line 4: could not convert"),
+        ("s001,half,1,4,0.7", "line 4: could not convert"),
+        ("s000,0.6,1,12,0.7", "line 4: sequence 's000' has c=0.6, width_mfp=1 here"),
+        ("s000,0.5,2,12,0.7", "line 4: sequence 's000' has c=0.5, width_mfp=2 here"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "data.csv"
+        path.write_text("sequence_id,c,width_mfp,order,center_flux\n"
+                        f"s000,0.5,1,4,0.5\ns000,0.5,1,8,0.6\n{row}\n")
+        with pytest.raises(InvalidArgumentError) as exc:
+            load_dataset(path)
+        assert str(exc.value).startswith(f"{path}, {message}")
+
+    def test_same_c_and_width_in_other_spelling_is_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("sequence_id,c,width_mfp,order,center_flux\n"
+                        "s000,0.5,1,4,0.5\n\ns000,0.50,1.0,8,0.6\n")
+        [seq] = load_dataset(path)
+        assert (seq.c, seq.width_mfp, seq.orders) == (0.5, 1.0, (4, 8))
+
     def test_ids_are_quoted_when_needed(self, tmp_path):
         seqs = [make_sequence([0.5, 0.25], seq_id='a,"b"'),
                 make_sequence([0.5, 0.25], seq_id="plain")]
