@@ -14,30 +14,18 @@ from .evolution import (
     EvolutionReport,
     FitnessEvaluator,
     evolve,
-    fitness,
     formula_method,
-    optimize_parameter,
     split_dataset,
-    tournament_select,
 )
 from .quadrature import QuadratureSet, gauss_legendre
 from .sequences import (
     ComparisonMatrix,
     Sequence,
-    Window,
     load_dataset,
     relative_errors,
     write_dataset,
 )
-from .transport import (
-    DatasetConfig,
-    SlabProblem,
-    SnSolution,
-    generate_dataset,
-    generate_grid,
-    generate_sequence,
-    solve_sn,
-)
-from .trees import Formula, Node, eval_formula, eval_tree, parse, serialize
+from .transport import DatasetConfig, SlabProblem, generate_grid, solve_sn
+from .trees import Formula, Node, parse, serialize
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,7 +38,7 @@ from .evolution import (
     split_dataset,
     write_report,
 )
-from .sequences import load_dataset, read_metadata, write_dataset
+from .sequences import load_dataset, metadata_path, read_metadata, write_dataset
 from .transport import DatasetConfig, dataset_metadata, generate_grid
 from .trees import parse
 
@@ -168,7 +168,7 @@ def cmd_evolve(args):
 def cmd_evaluate(args):
     stages = _StageTimer()
     sequences = load_dataset(args.data)
-    meta_file = Path(args.data).with_suffix(".meta")
+    meta_file = metadata_path(args.data)
     metadata = read_metadata(meta_file) if meta_file.exists() else {}
 
     methods = {}
@@ -183,6 +183,11 @@ def cmd_evaluate(args):
             methods[name] = formula_method(parse(Path(args.formula).read_text()))
         else:
             methods[name] = METHODS[name]
+    if args.formula and "evolved" not in methods:
+        raise InvalidArgumentError(
+            "--formula replaces the evolved method, which --methods "
+            f"{args.methods!r} does not include"
+        )
     stages.lap("load_s")
 
     report = run_benchmark(
@@ -256,7 +261,8 @@ def build_parser():
                         help="benchmark accelerators on a dataset")
     ev.add_argument("--data", required=True)
     ev.add_argument("--formula", default=None,
-                    help="formula file (default: built-in evolved accelerator)")
+                    help="formula file for the evolved method (default: "
+                         "the built-in evolved accelerator)")
     ev.add_argument("--methods", default="aitken,wynn,evolved")
     ev.add_argument("--positions", type=_int_list, default=[20, 28, 36, 44, 52])
     ev.add_argument("--bins", type=int, default=10)

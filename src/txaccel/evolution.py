@@ -76,7 +76,6 @@ class EvolutionConfig:
     target_fitness: float = 0.75
     evaluation_orders: tuple = DEFAULT_EVALUATION_ORDERS
     rng_seed: int = 0
-    ephemeral_constants: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "evaluation_orders",
@@ -98,8 +97,6 @@ class EvolutionConfig:
                                      "not in (0, 1]")
         if self.max_depth < 1:
             raise InvalidConfigError(f"max_depth must be >= 1, got {self.max_depth}")
-        if len(self.evaluation_orders) == 0:
-            raise InvalidConfigError("evaluation_orders must be non-empty")
 
 
 class FitnessEvaluator(ComparisonMatrix):
@@ -151,11 +148,6 @@ def formula_method(f: Formula):
     return method
 
 
-def fitness(f: Formula, training, orders=DEFAULT_EVALUATION_ORDERS) -> float:
-    """Fraction of (sequence, position) pairs where ``f`` beats raw."""
-    return FitnessEvaluator(training, orders).fitness(f)
-
-
 def _optimize_parameter(f, evaluator, rng):
     """Best (formula, fitness) over a two-batch scan of p.
 
@@ -183,13 +175,6 @@ def _optimize_parameter(f, evaluator, rng):
     return replace(f, p=float(candidates[best])), float(fits[best])
 
 
-def optimize_parameter(f: Formula, training, orders=DEFAULT_EVALUATION_ORDERS,
-                       rng_seed: int = 0) -> Formula:
-    evaluator = FitnessEvaluator(training, orders)
-    tuned, _ = _optimize_parameter(f, evaluator, np.random.default_rng(rng_seed))
-    return tuned
-
-
 def _rank_key(individuals):
     """Total order: fitness desc, then fewer nodes, then earlier index."""
     sizes = [formula_node_count(ind[0]) for ind in individuals]
@@ -200,20 +185,9 @@ def _rank_key(individuals):
     return key
 
 
-def tournament_select(population, rng, tournament_size: int = 3):
-    """Fittest of ``tournament_size`` members drawn with replacement.
-
-    ``population`` is a list of (formula, fitness) pairs.  Ties go to the
-    smaller tree, then to the earlier population index.
-    """
-    if not population:
-        raise InvalidConfigError("population must be non-empty")
-    return population[_tournament(rng, len(population), tournament_size,
-                                  _rank_key(population))][0]
-
-
 def _tournament(rng, size, tournament_size, key):
-    """Index of the winner of one tournament under the rank ``key``."""
+    """Index of the fittest of ``tournament_size`` members drawn with
+    replacement from a population of ``size``, under the rank ``key``."""
     return min(rng.integers(0, size, size=tournament_size), key=key)
 
 
@@ -224,14 +198,6 @@ class GenerationStats:
     mean_fitness: float
     evals: int
     population_size: int = 0
-
-
-@dataclass
-class EvolutionState:
-    generation: int
-    population: list  # (formula, fitness) pairs
-    best: tuple
-    history: list
 
 
 @dataclass
@@ -276,8 +242,8 @@ def _initial_population(config, rng):
         depth = depths[i % len(depths)]
         method = methods[(i // len(depths)) % 2]
         p = float(rng.uniform(*P_RANGE))
-        num = random_tree(depth, method, rng, config.ephemeral_constants)
-        den = random_tree(depth, method, rng, config.ephemeral_constants)
+        num = random_tree(depth, method, rng)
+        den = random_tree(depth, method, rng)
         formulas.append(Formula(num, den, p))
     return formulas
 
@@ -304,26 +270,26 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
     for f in _initial_population(config, rng):
         population.append(_optimize_parameter(f, evaluator, rng))
 
-    def record(state):
-        fits = [fit for _, fit in state.population]
-        state.history.append(GenerationStats(
-            generation=state.generation,
-            best_fitness=state.best[1],
+    history = []
+
+    def record():
+        """Append the current generation's stats to ``history``."""
+        fits = [fit for _, fit in population]
+        history.append(GenerationStats(
+            generation=generation,
+            best_fitness=best[1],
             mean_fitness=float(np.mean(fits)),
             evals=evaluator.evals,
-            population_size=len(state.population),
+            population_size=len(population),
         ))
 
     # Tree sizes are counted once per population, in its rank key.
     key = _rank_key(population)
-    state = EvolutionState(generation=0, population=population,
-                           best=population[min(range(len(population)), key=key)],
-                           history=[])
-    record(state)
+    generation = 0
+    best = population[min(range(len(population)), key=key)]
+    record()
 
-    while (state.generation < config.max_generations
-           and state.best[1] <= config.target_fitness):
-        population = state.population
+    while generation < config.max_generations and best[1] <= config.target_fitness:
         order = sorted(range(len(population)), key=key)
         new_population = [population[i] for i in order[:config.elite_count]]
 
@@ -334,19 +300,16 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
             parent_b = population[b][0]
             if rng.random() < config.crossover_rate:
                 child_a, child_b = crossover(parent_a, parent_b, rng,
-                                             config.max_depth,
-                                             config.ephemeral_constants)
+                                             config.max_depth)
                 modified_a = modified_b = True
             else:
                 child_a, child_b = parent_a, parent_b
                 modified_a = modified_b = False
             if rng.random() < config.mutation_rate:
-                child_a = mutate(child_a, rng, config.max_depth,
-                                 config.ephemeral_constants)
+                child_a = mutate(child_a, rng, config.max_depth)
                 modified_a = True
             if rng.random() < config.mutation_rate:
-                child_b = mutate(child_b, rng, config.max_depth,
-                                 config.ephemeral_constants)
+                child_b = mutate(child_b, rng, config.max_depth)
                 modified_b = True
 
             for child, modified, parent in ((child_a, modified_a, a),
@@ -361,15 +324,15 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
                     # fitness instead of re-evaluating.
                     new_population.append((child, population[parent][1]))
 
-        state.population = new_population
-        state.generation += 1
-        key = _rank_key(new_population)
-        candidate = new_population[min(range(len(new_population)), key=key)]
-        if candidate[1] > state.best[1]:
-            state.best = candidate
-        record(state)
+        population = new_population
+        generation += 1
+        key = _rank_key(population)
+        candidate = population[min(range(len(population)), key=key)]
+        if candidate[1] > best[1]:
+            best = candidate
+        record()
 
-    best_formula, train_fitness = state.best
+    best_formula, train_fitness = best
     if validation:
         validation_fitness = FitnessEvaluator(
             validation, config.evaluation_orders).fitness(best_formula)
@@ -379,8 +342,8 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
         best_formula=best_formula,
         train_fitness=train_fitness,
         validation_fitness=validation_fitness,
-        history=state.history,
-        generations=state.generation,
+        history=history,
+        generations=generation,
         target_reached=train_fitness > config.target_fitness,
         comparisons=evaluator.comparisons,
         evals=evaluator.evals,

@@ -17,12 +17,12 @@ the protected-division guard) only run when a result needs them.  A
 caller that sweeps the same windows again and again (the fitness's
 p-scan) keeps one workspace, so the buffers are allocated once; without
 one, a call makes a throwaway workspace sized for its own p-vector.
-Each step is the same IEEE operation as in the scalar evaluator, so
-every row reproduces trees.eval_formula bit for bit at its p, NaN
-included: the recursive scalar evaluator stays the reference semantics
-and this module is purely the fast path.  The mean cost of one call is
-the ``kernels.evaluate_program.us`` metric of
-``perfbench/run.py --workload evolve-fixed --trace 1``.
+Each step is the same IEEE operation as in the scalar interpreter of
+``tests/oracles.py``, so every row reproduces its ``eval_formula`` bit for
+bit at its p, NaN included: that recursive interpreter is the reference
+semantics and this module is the path that ``evolve`` and ``evaluate``
+run.  The mean cost of one call is the ``kernels.evaluate_program.us``
+metric of ``perfbench/run.py --workload evolve-fixed --trace 1``.
 """
 
 import math
@@ -239,10 +239,3 @@ def evaluate_program(program: Program, windows: np.ndarray, p,
     full = workspace.slot(1, shape)
     np.copyto(full, out)
     return full
-
-
-def evaluate_formula_batch(f: Formula, windows: np.ndarray, p=None) -> np.ndarray:
-    """Compile and evaluate a formula over every window row."""
-    if p is None:
-        p = f.p
-    return evaluate_program(compile_formula(f), windows, p)

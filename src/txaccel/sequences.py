@@ -17,7 +17,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,15 +29,6 @@ TINY_DENOMINATOR = 1e-300
 #: output.  +inf never wins a strict comparison, which is exactly the
 #: "count as a loss" behavior the benchmark needs.
 UNDEFINED_ERROR = math.inf
-
-
-class Window(NamedTuple):
-    """The four most recent sequence terms, newest first."""
-
-    s_n: float
-    s_nm1: float
-    s_nm2: float
-    s_nm3: float
 
 
 @dataclass(frozen=True)
@@ -94,11 +84,19 @@ class ComparisonMatrix:
     ``windows`` gives every value the comparisons need, laid out [prev;
     curr].  Beside it sit each comparison's raw error, its sequence's
     scattering ratio ``c`` and its ``order_index`` into ``orders``.
+    ``orders`` must be non-empty and strictly increasing, or each comparison
+    would not be counted exactly once.
     """
 
     def __init__(self, sequences, orders):
         self.sequences = list(sequences)
         self.orders = tuple(int(n) for n in orders)
+        if not self.orders or not all(map(operator.lt, self.orders,
+                                           self.orders[1:])):
+            raise InvalidArgumentError(
+                "evaluation orders must be non-empty and strictly increasing, "
+                f"got {list(self.orders)}"
+            )
         taps = np.arange(5)
         rows = [seq.values[self._window_ends(seq)[:, None] - taps]
                 for seq in self.sequences]

@@ -90,17 +90,6 @@ class SlabProblem:
         if self.source < 0.0:
             raise InvalidArgumentError(f"source must be >= 0, got {self.source}")
 
-    @property
-    def infinite_medium_flux(self) -> float:
-        return self.source / (self.sigma_t * (1.0 - self.scattering_ratio))
-
-
-@dataclass(frozen=True)
-class SnSolution:
-    problem: SlabProblem
-    order: int
-    center_scalar_flux: float
-
 
 def _check_order(order):
     if not isinstance(order, (int, np.integer)) or order % 2 != 0 or not (
@@ -248,7 +237,7 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
     return fluxes
 
 
-def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
+def solve_sn(problem: SlabProblem, order: int) -> float:
     """Exact angle-discretized center flux for one quadrature order.
 
     Raises InvalidArgumentError for unsupported orders,
@@ -261,8 +250,7 @@ def solve_sn(problem: SlabProblem, order: int) -> SnSolution:
     order = int(order)
     fluxes = _center_fluxes(order, problem.sigma_t, [problem.scattering_ratio],
                             [problem.width], problem.source)
-    return SnSolution(problem=problem, order=order,
-                      center_scalar_flux=float(fluxes[0, 0]))
+    return float(fluxes[0, 0])
 
 
 def _at_order(exc, order):
@@ -271,28 +259,12 @@ def _at_order(exc, order):
         f"order {order}: {exc}", dict(exc.diagnostics, failing_order=order))
 
 
-def generate_sequence(problem: SlabProblem, orders, seq_id: str = "seq") -> Sequence:
-    """Center-flux sequence over strictly increasing quadrature orders."""
-    orders = tuple(int(n) for n in orders)
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise InvalidArgumentError("orders must be strictly increasing")
-    values = np.empty(len(orders))
-    for i, order in enumerate(orders):
-        try:
-            values[i] = solve_sn(problem, order).center_scalar_flux
-        except NumericalFailureError as exc:
-            raise _at_order(exc, order) from exc
-    return Sequence(id=seq_id, c=problem.scattering_ratio,
-                    width_mfp=problem.width, orders=orders, values=values)
-
-
 # ---------------------------------------------------------------------------
 # Dataset generation
 # ---------------------------------------------------------------------------
 
 DEFAULT_WIDTHS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 DEFAULT_ORDERS = tuple(range(4, 53, 4))
-REFERENCE_SEQUENCE_COUNT = 240
 
 
 @dataclass(frozen=True)
@@ -371,23 +343,6 @@ def generate_grid(config: DatasetConfig, rng_seed: int = 0) -> list:
     return [Sequence(id=f"s{i * len(config.widths) + j:03d}", c=float(c),
                      width_mfp=width, orders=config.orders, values=values[i, j])
             for i, c in enumerate(cs) for j, width in enumerate(config.widths)]
-
-
-def generate_dataset(config: DatasetConfig = None, rng_seed: int = 0) -> list:
-    """The 240-sequence benchmark dataset on the documented default grid.
-
-    Raises InvalidConfigError when the grid product is not 240; use
-    generate_grid directly for reduced-scale datasets.
-    """
-    if config is None:
-        config = DatasetConfig()
-    if config.grid_size != REFERENCE_SEQUENCE_COUNT:
-        raise InvalidConfigError(
-            f"dataset grid must contain exactly {REFERENCE_SEQUENCE_COUNT} "
-            f"(c, width) pairs, got {config.c_count} x {len(config.widths)} "
-            f"= {config.grid_size}"
-        )
-    return generate_grid(config, rng_seed=rng_seed)
 
 
 def dataset_metadata(config: DatasetConfig, rng_seed: int, version: str) -> dict:

@@ -1,16 +1,16 @@
-"""Expression trees over trailing-window terminals, with closure-safe
-evaluation, random generation, crossover, mutation, and a stable text
-format.
+"""Expression trees over trailing-window terminals, with random
+generation, crossover, mutation, and a stable text format.
 
 Terminals are the four window values (Sn, Snm1, Snm2, Snm3), the learnable
-scalar p, and optional ephemeral constants.  Functions are add, sub, mul,
+scalar p, and ephemeral constants.  Functions are add, sub, mul,
 protected div, square, and the nullary second difference d2, which reads
 Sn - 2*Snm1 + Snm2 straight off the window.
 
 Closure: protected division returns 1e6 whenever the denominator magnitude
 drops below 1e-10, products and squares are clamped at +-1e150, and any
 overflow in the remaining operations is pulled back to +-1e150, so every
-tree evaluates to a finite float on every finite input.  A candidate
+tree evaluates to a finite float on every finite input.  The constants
+below define those rules; ``kernels`` evaluates trees by them.  A candidate
 formula is the protected ratio of a numerator tree and a denominator tree
 plus its parameter p.
 
@@ -23,7 +23,6 @@ not care.
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, InvalidArgumentError
-from .sequences import Window
 
 #: Protected division: result when |denominator| < DIV_GUARD.
 DIV_GUARD = 1e-10
@@ -134,82 +133,20 @@ def replace_at(node: Node, index: int, replacement: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-#
-# The scalar recursion below is the reference semantics; kernels.py runs
-# the same operation sequence over whole window batches and is checked
-# bitwise against this implementation.
-# ---------------------------------------------------------------------------
-
-
-def _guard_overflow(v: float) -> float:
-    if v == float("inf"):
-        return CLAMP
-    if v == float("-inf"):
-        return -CLAMP
-    return v
-
-
-def protected_div(a: float, b: float) -> float:
-    if abs(b) < DIV_GUARD:
-        return DIV_PROTECTED_VALUE
-    return _guard_overflow(a / b)
-
-
-def eval_tree(node: Node, window: Window, p: float) -> float:
-    """Recursive closure-safe evaluation; always returns a finite float."""
-    kind = node.kind
-    idx = _WINDOW_INDEX.get(kind)
-    if idx is not None:
-        return float(window[idx])
-    if kind == "p":
-        return float(p)
-    if kind == "const":
-        return float(node.value)
-    if kind == "d2":
-        return _guard_overflow(window[0] - 2.0 * window[1] + window[2])
-    if kind == "sq":
-        a = eval_tree(node.children[0], window, p)
-        v = a * a
-        return CLAMP if v > CLAMP else v
-    a = eval_tree(node.children[0], window, p)
-    b = eval_tree(node.children[1], window, p)
-    if kind == "add":
-        return _guard_overflow(a + b)
-    if kind == "sub":
-        return _guard_overflow(a - b)
-    if kind == "mul":
-        v = a * b
-        if v > CLAMP:
-            return CLAMP
-        if v < -CLAMP:
-            return -CLAMP
-        return v
-    return protected_div(a, b)
-
-
-def eval_formula(f: Formula, window: Window) -> float:
-    num = eval_tree(f.numerator, window, f.p)
-    den = eval_tree(f.denominator, window, f.p)
-    return protected_div(num, den)
-
-
-# ---------------------------------------------------------------------------
 # Random generation and genetic operators
 # ---------------------------------------------------------------------------
 
 CONST_RANGE = (-2.0, 2.0)
 
 
-def random_terminal(rng, constants: bool = True) -> Node:
-    kinds = TERMINAL_KINDS if constants else TERMINAL_KINDS[:-1]
-    kind = kinds[rng.integers(len(kinds))]
+def random_terminal(rng) -> Node:
+    kind = TERMINAL_KINDS[rng.integers(len(TERMINAL_KINDS))]
     if kind == "const":
         return Node("const", value=float(rng.uniform(*CONST_RANGE)))
     return Node(kind)
 
 
-def random_tree(max_depth: int, method: str, rng, constants: bool = True) -> Node:
+def random_tree(max_depth: int, method: str, rng) -> Node:
     """Grow or full tree within ``max_depth`` levels.
 
     full picks only arity>=1 functions until the last level, so every
@@ -221,34 +158,32 @@ def random_tree(max_depth: int, method: str, rng, constants: bool = True) -> Nod
     if method not in ("grow", "full"):
         raise InvalidArgumentError(f"method must be 'grow' or 'full', got {method!r}")
     if max_depth == 1:
-        return random_terminal(rng, constants)
+        return random_terminal(rng)
     if method == "full":
         kinds = BINARY_KINDS + UNARY_KINDS
         kind = kinds[rng.integers(len(kinds))]
     else:
-        n_terminals = len(TERMINAL_KINDS) if constants else len(TERMINAL_KINDS) - 1
+        n_terminals = len(TERMINAL_KINDS)
         pick = rng.integers(n_terminals + len(FUNCTION_KINDS))
         if pick < n_terminals:
-            return random_terminal(rng, constants)
+            return random_terminal(rng)
         kind = FUNCTION_KINDS[pick - n_terminals]
         if kind == "d2":
             return Node("d2")
     children = tuple(
-        random_tree(max_depth - 1, method, rng, constants)
+        random_tree(max_depth - 1, method, rng)
         for _ in range(ARITY[kind])
     )
     return Node(kind, children=children)
 
 
-def random_formula(max_depth: int, method: str, rng, constants: bool = True,
-                   p: float = 0.0) -> Formula:
-    num = random_tree(max_depth, method, rng, constants)
-    den = random_tree(max_depth, method, rng, constants)
+def random_formula(max_depth: int, method: str, rng, p: float = 0.0) -> Formula:
+    num = random_tree(max_depth, method, rng)
+    den = random_tree(max_depth, method, rng)
     return Formula(num, den, p)
 
 
-def crossover(a: Formula, b: Formula, rng, max_depth: int = 4,
-              constants: bool = True):
+def crossover(a: Formula, b: Formula, rng, max_depth: int = 4):
     """Swap one subtree between the same side (num or den) of both parents.
 
     Offspring deeper than ``max_depth`` are repaired by re-truncating the
@@ -265,7 +200,7 @@ def crossover(a: Formula, b: Formula, rng, max_depth: int = 4,
     def grafted(tree, idx, donor):
         child = replace_at(tree, idx, donor)
         if depth(child) > max_depth:
-            child = replace_at(tree, idx, random_terminal(rng, constants))
+            child = replace_at(tree, idx, random_terminal(rng))
         return child
 
     new_a = grafted(tree_a, idx_a, sub_b)
@@ -277,14 +212,14 @@ def crossover(a: Formula, b: Formula, rng, max_depth: int = 4,
             Formula(b.numerator, new_b, b.p))
 
 
-def mutate(f: Formula, rng, max_depth: int = 4, constants: bool = True) -> Formula:
+def mutate(f: Formula, rng, max_depth: int = 4) -> Formula:
     """Replace one uniformly chosen subtree with a fresh grow tree that
     fits the remaining depth budget."""
     side = "numerator" if rng.integers(2) == 0 else "denominator"
     tree = getattr(f, side)
     idx = int(rng.integers(node_count(tree)))
     budget = max_depth - depth_at(tree, idx) + 1
-    replacement = random_tree(max(1, budget), "grow", rng, constants)
+    replacement = random_tree(max(1, budget), "grow", rng)
     new_tree = replace_at(tree, idx, replacement)
     if side == "numerator":
         return Formula(new_tree, f.denominator, f.p)

@@ -5,13 +5,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
-from txaccel.transport import generate_dataset
+from txaccel.transport import DatasetConfig, generate_grid
 
 
 @pytest.fixture(scope="session")
 def dataset240():
     """The default 240-sequence dataset, generated once per session."""
-    return generate_dataset(rng_seed=0)
+    return generate_grid(DatasetConfig(), rng_seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """Independent reference solutions used to check the package.
 
-The scalar accelerator route at the end is the per-window reference for
+The scalar accelerator route is the per-window reference for
 ``run_benchmark`` and the fitness: one Python call per window, one
-relative error and one strict comparison per (sequence, position).
+relative error and one strict comparison per (sequence, position).  The
+scalar formula interpreter at the end is the reference semantics of the
+formula language: a recursion over the tree, one window at a time, that
+``kernels.evaluate_program`` must reproduce bit for bit.
 
 Diamond-difference discrete ordinates on a uniform spatial mesh, solved
 for the scattering source with GMRES (Saad & Schultz 1986), then
@@ -15,10 +18,13 @@ problem definition.  The same Q/2 isotropic source convention applies.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
 from scipy.sparse.linalg import LinearOperator, gmres
+
+from txaccel.trees import CLAMP, DIV_GUARD, DIV_PROTECTED_VALUE
 
 
 def _dd_sweep(mu, w, sigma_t, h, q):
@@ -241,3 +247,76 @@ def scalar_benchmark(sequences, transforms, orders, bins=10):
         total = len(sequences) * len(orders)
         out[name] = (wins, total - wins, invalids, grid_wins, grid_counts)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar formula interpreter
+#
+# The recursion below is the reference semantics of a formula tree; the
+# kernel runs the same operation sequence over whole window batches and is
+# checked bitwise against it.
+# ---------------------------------------------------------------------------
+
+
+class Window(NamedTuple):
+    """The four most recent sequence terms, newest first."""
+
+    s_n: float
+    s_nm1: float
+    s_nm2: float
+    s_nm3: float
+
+
+_WINDOW_INDEX = {"Sn": 0, "Snm1": 1, "Snm2": 2, "Snm3": 3}
+
+
+def _guard_overflow(v: float) -> float:
+    if v == float("inf"):
+        return CLAMP
+    if v == float("-inf"):
+        return -CLAMP
+    return v
+
+
+def protected_div(a: float, b: float) -> float:
+    if abs(b) < DIV_GUARD:
+        return DIV_PROTECTED_VALUE
+    return _guard_overflow(a / b)
+
+
+def eval_tree(node, window, p: float) -> float:
+    """Recursive closure-safe evaluation; always returns a finite float."""
+    kind = node.kind
+    idx = _WINDOW_INDEX.get(kind)
+    if idx is not None:
+        return float(window[idx])
+    if kind == "p":
+        return float(p)
+    if kind == "const":
+        return float(node.value)
+    if kind == "d2":
+        return _guard_overflow(window[0] - 2.0 * window[1] + window[2])
+    if kind == "sq":
+        a = eval_tree(node.children[0], window, p)
+        v = a * a
+        return CLAMP if v > CLAMP else v
+    a = eval_tree(node.children[0], window, p)
+    b = eval_tree(node.children[1], window, p)
+    if kind == "add":
+        return _guard_overflow(a + b)
+    if kind == "sub":
+        return _guard_overflow(a - b)
+    if kind == "mul":
+        v = a * b
+        if v > CLAMP:
+            return CLAMP
+        if v < -CLAMP:
+            return -CLAMP
+        return v
+    return protected_div(a, b)
+
+
+def eval_formula(f, window) -> float:
+    num = eval_tree(f.numerator, window, f.p)
+    den = eval_tree(f.denominator, window, f.p)
+    return protected_div(num, den)

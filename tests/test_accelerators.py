@@ -4,7 +4,7 @@ import pytest
 from oracles import relative_error, wynn_epsilon
 from txaccel.accelerators import INVALID, METHODS, aitken, evolved, wynn
 from txaccel.sequences import ComparisonMatrix, Sequence, relative_errors
-from txaccel.transport import SlabProblem, generate_sequence
+from txaccel.transport import DatasetConfig, generate_grid
 
 EVAL_ORDERS = (20, 28, 36, 44, 52)
 
@@ -128,8 +128,8 @@ class TestApplyAccelerator:
     """Methods applied over the windows of a comparison matrix."""
 
     def test_identity_matches_raw_errors(self):
-        seq = generate_sequence(SlabProblem(scattering_ratio=0.7, width=5.0),
-                                range(4, 53, 4))
+        [seq] = generate_grid(DatasetConfig(c_min=0.7, c_max=0.7, c_count=1,
+                                            widths=(5.0,)))
         matrix = ComparisonMatrix([seq], EVAL_ORDERS)
         errors = relative_errors(matrix.windows[:, 0].copy())
         for j, order in enumerate(EVAL_ORDERS):
@@ -148,8 +148,8 @@ class TestApplyAccelerator:
         np.testing.assert_allclose(relative_errors(values), 0.0, atol=1e-9)
 
     def test_wynn_equals_aitken_on_transport_data(self):
-        seq = generate_sequence(SlabProblem(scattering_ratio=0.9, width=10.0),
-                                range(4, 53, 4))
+        [seq] = generate_grid(DatasetConfig(c_min=0.9, c_max=0.9, c_count=1,
+                                            widths=(10.0,)))
         matrix = ComparisonMatrix([seq], EVAL_ORDERS)
         a, w = aitken(matrix.windows), wynn(matrix.windows)
         _, invalid_a = matrix.score(a.copy(), invalid=True)

@@ -8,13 +8,12 @@ properties (exactness, closure, determinism, monotonicity) are strict.
 """
 
 import functools
-import math
 import time
 
 import numpy as np
 import pytest
 
-from oracles import mesh_refined_center_flux, pure_absorber_center_flux
+from oracles import Window, mesh_refined_center_flux, pure_absorber_center_flux
 from txaccel.accelerators import INVALID, METHODS, aitken, evolved, wynn
 from txaccel.benchmark import compare_to_reference, run_benchmark
 from txaccel.evolution import (
@@ -24,10 +23,10 @@ from txaccel.evolution import (
     evolve,
     split_dataset,
 )
+from txaccel.kernels import compile_formula, evaluate_program
 from txaccel.quadrature import gauss_legendre
-from txaccel.sequences import Window
 from txaccel.transport import SlabProblem, solve_sn
-from txaccel.trees import eval_tree, random_tree, serialize
+from txaccel.trees import Formula, Node, random_tree, serialize
 
 EVAL_ORDERS = (20, 28, 36, 44, 52)
 
@@ -67,7 +66,7 @@ def test_criterion_02_transport_oracle_equivalence():
         width = float(rng.choice([1.0, 2.0, 5.0, 10.0, 20.0, 50.0]))
         order = int(rng.choice(range(4, 53, 4)))
         analytic = solve_sn(SlabProblem(scattering_ratio=c, width=width),
-                            order).center_scalar_flux
+                            order)
         oracle, spread = mesh_refined_center_flux(c, width, order)
         assert spread < 1e-8 * abs(oracle), (c, width, order)
         assert abs(analytic - oracle) < 1e-7 * abs(oracle), (c, width, order)
@@ -75,7 +74,7 @@ def test_criterion_02_transport_oracle_equivalence():
     for order in range(4, 53, 4):
         for width in (1.0, 5.0, 20.0):
             analytic = solve_sn(SlabProblem(scattering_ratio=0.0, width=width),
-                                order).center_scalar_flux
+                                order)
             closed = pure_absorber_center_flux(width, order)
             assert abs(analytic - closed) < 1e-12 * abs(closed)
 
@@ -85,7 +84,7 @@ def test_criterion_03_infinite_medium_limits():
     for c in (0.0, 0.5, 0.9):
         expected = 1.0 / (1.0 - c)
         flux = solve_sn(SlabProblem(scattering_ratio=c, width=200.0),
-                        16).center_scalar_flux
+                        16)
         assert abs(flux - expected) < 1e-6
 
 
@@ -140,17 +139,39 @@ def test_criterion_05_evolved_formula_fidelity():
     assert evolved(Window(1.0, 1.0, 2.0, 0.0)) == INVALID
 
 
-@criterion(6, "closure: 10,000 random tree evaluations all finite")
+def random_magnitudes(rng, low, high, shape):
+    """Log-uniform magnitudes in [low, high] with random signs."""
+    values = np.exp(rng.uniform(np.log(low), np.log(high), shape))
+    return values * rng.choice([-1.0, 1.0], shape)
+
+
+@criterion(6, "closure: random trees on the kernel, 50,000 evaluations at "
+              "window scale and 50,000 across the float range, all finite")
 def test_criterion_06_closure():
+    # Each tree is the numerator over the constant 1, so the program's
+    # final division returns the tree's value.  Every tree runs on its own
+    # 5 windows at its own 5 p-values: 25 (tree, window, p) evaluations.
     rng = np.random.default_rng(606)
-    windows = np.exp(rng.uniform(np.log(1e-8), np.log(1e8), (10_000, 4)))
-    windows *= rng.choice([-1.0, 1.0], (10_000, 4))
-    for i in range(10_000):
-        tree = random_tree(4, "grow" if i % 2 else "full", rng)
-        p = float(rng.uniform(-1e8, 1e8))
-        value = eval_tree(tree, Window(*windows[i]), p)
-        assert math.isfinite(value)
-        assert not math.isnan(value)
+    trees, k = 2_000, 5
+    one = Node("const", value=1.0)
+    scales = (
+        # Window terms up to 1e8 in magnitude and p uniform on +-1e8.
+        (random_magnitudes(rng, 1e-8, 1e8, (trees, k, 4)),
+         rng.uniform(-1e8, 1e8, (trees, k))),
+        # Terms and p across the float range, where products overflow and
+        # only the clamps keep values finite.
+        (random_magnitudes(rng, 1e-300, 1e300, (trees, k, 4)),
+         random_magnitudes(rng, 1e-300, 1e300, (trees, k))),
+    )
+    with np.errstate(over="ignore"):
+        assert np.isinf(scales[1][0][..., 0] * scales[1][0][..., 1]).any()
+    for windows, ps in scales:
+        for i in range(trees):
+            tree = random_tree(4, "grow" if i % 2 else "full", rng)
+            program = compile_formula(Formula(tree, one))
+            values = evaluate_program(program, windows[i], ps[i])
+            assert values.shape == (k, k)
+            assert np.isfinite(values).all(), serialize(Formula(tree, one))
 
 
 @criterion(7, "evolution hard invariants on a seeded mini run")

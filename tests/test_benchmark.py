@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import SCALAR_METHODS, scalar_benchmark
+from oracles import SCALAR_METHODS, Window, eval_formula, scalar_benchmark
 from txaccel.accelerators import METHODS, aitken, wynn
 from txaccel.benchmark import (
     compare_to_reference,
@@ -16,8 +16,8 @@ from txaccel.benchmark import (
 from txaccel.cli import main
 from txaccel.errors import InvalidArgumentError
 from txaccel.evolution import FitnessEvaluator, formula_method
-from txaccel.sequences import Sequence, Window, write_dataset
-from txaccel.trees import aitken_seed, eval_formula, parse, serialize
+from txaccel.sequences import Sequence, write_dataset
+from txaccel.trees import aitken_seed, parse, serialize
 
 ORDERS = (20, 28, 36, 44, 52)
 REFERENCE_DATASET = (Path(__file__).resolve().parents[1]

@@ -148,6 +148,15 @@ class TestEvolve:
         assert run("evolve", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "r")) == 3
 
+    @pytest.mark.parametrize("positions", ["", "20,20", "28,20"])
+    def test_bad_positions_are_usage_errors(self, tiny_dataset, tmp_path, capsys,
+                                            positions):
+        out = tmp_path / "r"
+        assert run("evolve", "--data", str(tiny_dataset), "--pop", "4",
+                   "--gens", "1", "--positions", positions, "--out", str(out)) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_reports_written(self, tiny_dataset, tmp_path):
@@ -181,6 +190,24 @@ class TestEvaluate:
         assert run("evaluate", "--data", str(tiny_dataset),
                    "--formula", str(formula), "--methods", "aitken,evolved",
                    "--out", str(out)) == 0
+
+    def test_formula_without_evolved_method_is_usage_error(self, tiny_dataset,
+                                                           tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("evaluate", "--data", str(tiny_dataset),
+                   "--formula", str(tmp_path / "missing.txt"),
+                   "--methods", "aitken", "--out", str(out)) == 2
+        assert "--formula replaces the evolved method" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("positions", ["", "20,20", "28,20"])
+    def test_bad_positions_are_usage_errors(self, tiny_dataset, tmp_path, capsys,
+                                            positions):
+        out = tmp_path / "x"
+        assert run("evaluate", "--data", str(tiny_dataset),
+                   "--positions", positions, "--out", str(out)) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_formula_file_is_data_error(self, tiny_dataset, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

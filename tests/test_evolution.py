@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import aitken, is_invalid, scalar_scores
+from oracles import Window, aitken, eval_formula, is_invalid, scalar_scores
 from txaccel import evolution
 from txaccel.errors import InsufficientHistoryError, InvalidConfigError
 from txaccel.evolution import (
@@ -11,20 +11,18 @@ from txaccel.evolution import (
     FitnessEvaluator,
     _initial_population,
     _optimize_parameter,
+    _rank_key,
+    _tournament,
     evolve,
-    fitness,
-    optimize_parameter,
     split_dataset,
-    tournament_select,
     write_report,
 )
 from txaccel.kernels import compile_formula, evaluate_program
-from txaccel.sequences import TINY_DENOMINATOR, Sequence, Window
+from txaccel.sequences import TINY_DENOMINATOR, Sequence
 from txaccel.trees import (
     DIV_GUARD,
     Formula,
     Node,
-    eval_formula,
     formula_node_count,
     parse,
     serialize,
@@ -96,7 +94,7 @@ class TestSplit:
 class TestFitness:
     def test_identity_formula_scores_zero(self):
         training = geometric_training_set()
-        assert fitness(identity_formula(), training, ORDERS) == 0.0
+        assert FitnessEvaluator(training, ORDERS).fitness(identity_formula()) == 0.0
 
     def test_zero_output_formula_scores_zero(self):
         # A vanishing accelerated value has an undefined relative error,
@@ -104,7 +102,7 @@ class TestFitness:
         f = Formula(Node("sub", children=(Node("Sn"), Node("Sn"))),
                     Node("const", value=1.0))
         training = geometric_training_set()
-        assert fitness(f, training, ORDERS) == 0.0
+        assert FitnessEvaluator(training, ORDERS).fitness(f) == 0.0
 
     def test_denominator_is_sequences_times_positions(self, dataset240):
         train, _ = split_dataset(dataset240, 0.70, 7)
@@ -318,8 +316,9 @@ class TestOptimizeParameter:
         grid = np.arange(-2.0, 2.0 + 1e-9, 1e-3)
         grid_best = max(evaluator.fitness_program(program, p) for p in grid)
 
-        tuned = optimize_parameter(f, training, ORDERS)
-        tuned_fitness = evaluator.fitness(tuned)
+        tuned, tuned_fitness = _optimize_parameter(f, evaluator,
+                                                   np.random.default_rng(0))
+        assert tuned_fitness == evaluator.fitness(tuned)
         assert tuned_fitness >= grid_best - 1e-6
         assert tuned_fitness > evaluator.fitness_program(program, 0.0)
 
@@ -340,17 +339,24 @@ class TestOptimizeParameter:
         assert grid_best > max(evaluator.fitness_program(program, p)
                                for p in np.linspace(-2.0, 2.0, 401))
 
-        tuned = optimize_parameter(f, training, ORDERS)
+        tuned, _ = _optimize_parameter(f, evaluator, np.random.default_rng(0))
         assert abs(tuned.p) > 2.0
         assert evaluator.fitness(tuned) >= grid_best - 1e-6
 
     def test_deterministic(self):
         f = Formula(Node("add", children=(Node("Sn"), Node("p"))),
                     Node("const", value=1.0), p=0.0)
-        training = geometric_training_set()
-        a = optimize_parameter(f, training, ORDERS, rng_seed=5)
-        b = optimize_parameter(f, training, ORDERS, rng_seed=5)
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        a, _ = _optimize_parameter(f, evaluator, np.random.default_rng(5))
+        b, _ = _optimize_parameter(f, evaluator, np.random.default_rng(5))
         assert a.p == b.p
+
+
+def tournament_winner(population, rng, tournament_size=3):
+    """The formula that wins one of evolve's tournaments over
+    ``population``, a list of (formula, fitness) pairs."""
+    key = _rank_key(population)
+    return population[_tournament(rng, len(population), tournament_size, key)][0]
 
 
 class TestTournament:
@@ -362,7 +368,7 @@ class TestTournament:
         # appears among the draws often; check many draws never return a
         # formula beating the max drawn fitness.
         for _ in range(50):
-            winner = tournament_select(pop, rng, tournament_size=3)
+            winner = tournament_winner(pop, rng, tournament_size=3)
             assert winner in [f for f, _ in pop]
 
     def test_global_best_wins_when_drawn(self):
@@ -373,7 +379,7 @@ class TestTournament:
         saw_best = 0
         for trial in range(40):
             draws = np.random.default_rng(trial).integers(0, 2, size=3)
-            winner = tournament_select(pop, np.random.default_rng(trial), 3)
+            winner = tournament_winner(pop, np.random.default_rng(trial), 3)
             if 1 in draws:
                 assert winner is small
                 saw_best += 1
@@ -388,12 +394,12 @@ class TestTournament:
         pop = [(big, 0.5), (small, 0.5)]
         for trial in range(40):
             draws = np.random.default_rng(trial).integers(0, 2, size=3)
-            winner = tournament_select(pop, np.random.default_rng(trial), 3)
+            winner = tournament_winner(pop, np.random.default_rng(trial), 3)
             assert winner is (small if 1 in draws else big)
 
     def test_single_member_population(self):
         only = identity_formula()
-        assert tournament_select([(only, 0.3)],
+        assert tournament_winner([(only, 0.3)],
                                  np.random.default_rng(0)) is only
 
 

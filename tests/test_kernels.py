@@ -5,14 +5,13 @@ import pytest
 
 from txaccel import kernels
 from txaccel.errors import InvalidArgumentError
-from txaccel.kernels import compile_formula, evaluate_formula_batch
-from txaccel.sequences import Window
+from oracles import Window, eval_formula
+from txaccel.kernels import compile_formula, evaluate_program
 from txaccel.trees import (
     CLAMP,
     DIV_GUARD,
     Formula,
     Node,
-    eval_formula,
     parse,
     random_formula,
 )
@@ -29,7 +28,8 @@ def test_numpy_backend_matches_scalar_reference_bitwise():
         f = random_formula(4, "grow" if trial % 2 else "full", rng,
                            p=float(rng.uniform(-2, 2)))
         windows = random_windows(rng, 9)
-        batch = evaluate_formula_batch(f, windows)
+        program = compile_formula(f)
+        batch = evaluate_program(program, windows, f.p)
         assert batch.shape == (9,)
         for i in range(windows.shape[0]):
             assert batch[i] == eval_formula(f, Window(*windows[i]))
@@ -38,7 +38,7 @@ def test_numpy_backend_matches_scalar_reference_bitwise():
         # the scalar reference at that p.
         ps = np.concatenate(([f.p, 0.0, -1e6], rng.uniform(-2, 2, 3),
                              rng.choice([-1.0, 1.0], 3) * np.logspace(-4, 6, 3)))
-        rows = evaluate_formula_batch(f, windows, ps)
+        rows = evaluate_program(program, windows, ps)
         assert rows.shape == (len(ps), 9) and rows.flags.writeable
         for j, p in enumerate(ps):
             g = replace(f, p=float(p))
@@ -58,9 +58,10 @@ def assert_bitwise_rows(f, windows, ps):
     def scalar(g):
         return np.array([eval_formula(g, Window(*w)) for w in windows])
 
-    single = evaluate_formula_batch(f, windows)
+    program = compile_formula(f)
+    single = evaluate_program(program, windows, f.p)
     assert np.array_equal(single.view(np.uint64), scalar(f).view(np.uint64))
-    rows = evaluate_formula_batch(f, windows, ps)
+    rows = evaluate_program(program, windows, ps)
     expected = np.array([scalar(replace(f, p=float(p))) for p in ps])
     assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
 
@@ -110,34 +111,34 @@ def test_overflowing_d2_is_clamped():
     f = parse("(formula :p 0 :num (sub (d2) (d2)) :den 1.0)")
     window = (1e308, -1e308, 1e308, 0.0)
     assert eval_formula(f, Window(*window)) == 0.0
-    assert evaluate_formula_batch(f, np.array([window]))[0] == 0.0
+    assert evaluate_program(compile_formula(f), np.array([window]), f.p)[0] == 0.0
 
 
 def test_outputs_always_finite():
     rng = np.random.default_rng(42)
     for _ in range(200):
         f = random_formula(4, "grow", rng, p=float(rng.uniform(-1e6, 1e6)))
-        out = evaluate_formula_batch(f, random_windows(rng, 17))
+        out = evaluate_program(compile_formula(f), random_windows(rng, 17), f.p)
         assert np.all(np.isfinite(out))
 
 
 def test_window_shape_validated():
     f = random_formula(2, "grow", np.random.default_rng(43))
     with pytest.raises(InvalidArgumentError):
-        evaluate_formula_batch(f, np.ones((4, 3)))
+        evaluate_program(compile_formula(f), np.ones((4, 3)), f.p)
 
 
 def test_p_must_be_scalar_or_vector():
     f = random_formula(2, "grow", np.random.default_rng(45))
     with pytest.raises(InvalidArgumentError):
-        evaluate_formula_batch(f, np.ones((4, 4)), np.zeros((2, 2)))
+        evaluate_program(compile_formula(f), np.ones((4, 4)), np.zeros((2, 2)))
 
 
 def test_formula_without_window_terms_fills_every_row():
     # p / p and constants never touch a window column, yet each p-value
     # still gets one value per window.
     f = Formula(Node("p"), Node("add", children=(Node("p"), Node("const", value=1.0))))
-    out = evaluate_formula_batch(f, np.ones((5, 4)), np.array([1.0, 3.0]))
+    out = evaluate_program(compile_formula(f), np.ones((5, 4)), np.array([1.0, 3.0]))
     assert out.shape == (2, 5) and out.flags.writeable
     assert np.array_equal(out, np.array([[0.5] * 5, [0.75] * 5]))
 

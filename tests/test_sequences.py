@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import Window
 from txaccel.errors import InsufficientHistoryError, InvalidArgumentError
 from txaccel.sequences import (
     ComparisonMatrix,
     Sequence,
-    Window,
     load_dataset,
     metadata_path,
     read_metadata,
@@ -120,6 +120,13 @@ class TestWindowAt:
         seq = make_sequence(np.arange(13.0), orders=tuple(range(4, 53, 4)))
         with pytest.raises(InsufficientHistoryError):
             ComparisonMatrix([seq], (17,))
+
+    @pytest.mark.parametrize("orders", [(), (20, 20), (28, 20), (20, 28, 28)])
+    def test_orders_must_be_nonempty_and_increasing(self, orders):
+        # Otherwise a comparison would be counted twice, or 0 of 0 scored.
+        seq = make_sequence(np.arange(13.0), orders=tuple(range(4, 53, 4)))
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            ComparisonMatrix([seq], orders)
 
 
 class TestSequenceValidation:

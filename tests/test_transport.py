@@ -7,19 +7,11 @@ import txaccel.transport as transport_module
 from oracles import mesh_refined_center_flux, pure_absorber_center_flux
 from txaccel.errors import (
     InvalidArgumentError,
-    InvalidConfigError,
     NumericalFailureError,
     UnsupportedProblemError,
 )
 from txaccel.sequences import load_dataset
-from txaccel.transport import (
-    DatasetConfig,
-    SlabProblem,
-    generate_dataset,
-    generate_grid,
-    generate_sequence,
-    solve_sn,
-)
+from txaccel.transport import DatasetConfig, SlabProblem, generate_grid, solve_sn
 
 REFERENCE_DATASET = (Path(__file__).parents[1] / "perfbench" / "reference"
                      / "dataset.csv")
@@ -29,12 +21,12 @@ class TestInfiniteMediumLimits:
     @pytest.mark.parametrize("c,expected", [(0.0, 1.0), (0.5, 2.0), (0.9, 10.0)])
     def test_thick_slab_reaches_balance_flux(self, c, expected):
         problem = SlabProblem(scattering_ratio=c, width=200.0)
-        flux = solve_sn(problem, 16).center_scalar_flux
+        flux = solve_sn(problem, 16)
         assert abs(flux - expected) < 1e-6
 
     def test_pure_absorber_thick_slab(self):
         flux = solve_sn(SlabProblem(scattering_ratio=0.0, width=200.0),
-                        8).center_scalar_flux
+                        8)
         assert abs(flux - 1.0) < 1e-10
 
 
@@ -43,7 +35,7 @@ class TestPureAbsorberClosedForm:
     def test_matches_per_ordinate_quadrature(self, order):
         for width in (1.0, 2.0, 10.0):
             got = solve_sn(SlabProblem(scattering_ratio=0.0, width=width),
-                           order).center_scalar_flux
+                           order)
             want = pure_absorber_center_flux(width, order)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -54,7 +46,7 @@ class TestPureAbsorberClosedForm:
         w = np.array([0.6521451548625461, 0.3478548451374538])
         expected = np.sum(2 * w * 0.5 * (1.0 - np.exp(-1.0 / mu)))
         got = solve_sn(SlabProblem(scattering_ratio=0.0, width=2.0),
-                       4).center_scalar_flux
+                       4)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -66,7 +58,7 @@ class TestOracleEquivalence:
     ])
     def test_matches_mesh_refined_solution(self, c, width, order):
         analytic = solve_sn(SlabProblem(scattering_ratio=c, width=width),
-                            order).center_scalar_flux
+                            order)
         oracle, spread = mesh_refined_center_flux(c, width, order)
         assert spread < 1e-8 * abs(oracle)
         assert analytic == pytest.approx(oracle, rel=1e-7)
@@ -78,13 +70,13 @@ class TestPhysicalInvariants:
             problem_limit = 1.0 / (1.0 - c)
             for width in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
                 flux = solve_sn(SlabProblem(scattering_ratio=c, width=width),
-                                8).center_scalar_flux
+                                8)
                 assert 0.0 < flux < problem_limit
 
     def test_flux_grows_with_width(self):
         for c in (0.0, 0.8):
             fluxes = [solve_sn(SlabProblem(scattering_ratio=c, width=w),
-                               12).center_scalar_flux
+                               12)
                       for w in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)]
             assert all(b > a for a, b in zip(fluxes, fluxes[1:]))
 
@@ -126,7 +118,7 @@ class TestErrors:
 
         # Sequence generation annotates the failing order.
         with pytest.raises(NumericalFailureError, match="order 4"):
-            generate_sequence(SlabProblem(scattering_ratio=0.5, width=1.0), [4])
+            generate_grid(one_problem(c=0.5, width=1.0, orders=(4,)))
 
     def test_rounding_bound_rejects_thin_near_critical_slab(self):
         # 2 psi_p = 1e6 cancels to a center flux near 0.1, so the boundary
@@ -230,7 +222,7 @@ class TestConditionScreen:
     decides whatever it does not clear."""
 
     def test_default_grid_runs_no_svd(self, svd_calls, dataset240):
-        grid = generate_dataset(rng_seed=0)
+        grid = generate_grid(DatasetConfig(), rng_seed=0)
         assert svd_calls == []
         for got, want in zip(grid, dataset240):
             assert np.array_equal(got.values, want.values), got.id
@@ -256,7 +248,7 @@ class TestConditionScreen:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(transport_module.np.linalg, "inv", singular)
-        grid = generate_dataset(rng_seed=0)
+        grid = generate_grid(DatasetConfig(), rng_seed=0)
         for got, want in zip(grid, dataset240):
             assert np.array_equal(got.values, want.values), got.id
         assert boundary_failures() == expected
@@ -296,7 +288,7 @@ class TestAccuracy:
         # symmetric matrix, lu_solve on the boundary system.
         exact = 15.12881379408760057926833
         got = solve_sn(SlabProblem(scattering_ratio=0.999, width=5.0),
-                       32).center_scalar_flux
+                       32)
         assert abs(got - exact) < 2e-13 * exact
 
     def test_default_grid_matches_stored_reference(self, dataset240):
@@ -310,30 +302,36 @@ class TestAccuracy:
                                        atol=0.0, err_msg=got.id)
 
 
+def one_problem(c, width, orders):
+    """The grid of a single (c, width) problem over ``orders``."""
+    return DatasetConfig(c_min=c, c_max=c, c_count=1, widths=(width,),
+                         orders=orders)
+
+
 class TestGenerateSequence:
     def test_thirteen_terms_on_default_orders(self):
-        seq = generate_sequence(SlabProblem(scattering_ratio=0.3, width=2.0),
-                                range(4, 53, 4))
+        [seq] = generate_grid(one_problem(c=0.3, width=2.0,
+                                          orders=range(4, 53, 4)))
         assert len(seq.values) == 13
         assert seq.orders == tuple(range(4, 53, 4))
 
     def test_single_order(self):
-        seq = generate_sequence(SlabProblem(scattering_ratio=0.3, width=2.0),
-                                [4])
+        [seq] = generate_grid(one_problem(c=0.3, width=2.0, orders=(4,)))
         assert len(seq.values) == 1
 
     def test_orders_must_increase(self):
         with pytest.raises(InvalidArgumentError):
-            generate_sequence(SlabProblem(), [4, 4, 8])
+            one_problem(c=0.3, width=2.0, orders=(4, 4, 8))
 
     def test_pure_absorber_sequence_converges(self):
         # Successive differences decay steeply but not monotonically (the
         # quadrature error oscillates), so assert the decreasing envelope
         # over 3-term blocks plus a converged tail.  Values themselves
         # match the closed form to 1e-12 (see TestPureAbsorberClosedForm).
-        seq = generate_sequence(SlabProblem(scattering_ratio=0.0, width=2.0),
-                                range(4, 53, 4))
-        diffs = np.abs(np.diff(seq.values))
+        # The grid needs c > 0, so the c = 0 sequence is solved per order.
+        problem = SlabProblem(scattering_ratio=0.0, width=2.0)
+        values = [solve_sn(problem, n) for n in range(4, 53, 4)]
+        diffs = np.abs(np.diff(values))
         blocks = [max(diffs[k:k + 3]) for k in range(0, 12, 3)]
         assert all(b < a for a, b in zip(blocks, blocks[1:]))
         assert diffs[-1] < 1e-7
@@ -349,10 +347,6 @@ class TestDataset:
         assert cs[0] == 0.001
         assert cs[-1] == 0.999
         assert len(cs) == 40
-
-    def test_wrong_grid_product_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            generate_dataset(DatasetConfig(c_count=10), rng_seed=0)
 
     def test_generation_is_deterministic(self):
         config = DatasetConfig(c_count=3, widths=(1.0, 5.0))
@@ -385,7 +379,7 @@ class TestDataset:
         for seq in grid:
             problem = SlabProblem(sigma_t=sigma_t, scattering_ratio=seq.c,
                                   width=seq.width_mfp, source=source)
-            alone = [solve_sn(problem, n).center_scalar_flux
+            alone = [solve_sn(problem, n)
                      for n in config.orders]
             assert np.array_equal(seq.values, alone), seq.id
 

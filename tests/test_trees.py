@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import Window, eval_formula, eval_tree
 from txaccel.accelerators import INVALID, aitken, evolved
 from txaccel.errors import FormulaSyntaxError
-from txaccel.sequences import Window
 from txaccel.trees import (
     Formula,
     Node,
     aitken_seed,
     crossover,
     depth,
-    eval_formula,
-    eval_tree,
     mutate,
     node_count,
     parse,
@@ -137,18 +135,6 @@ class TestRandomTree:
         rng = np.random.default_rng(24)
         seen = {depth(random_tree(4, "grow", rng)) for _ in range(1000)}
         assert seen == {1, 2, 3, 4}
-
-    def test_no_constants_flag(self):
-        rng = np.random.default_rng(25)
-
-        def kinds(node):
-            yield node.kind
-            for ch in node.children:
-                yield from kinds(ch)
-
-        for _ in range(200):
-            tree = random_tree(4, "grow", rng, constants=False)
-            assert "const" not in set(kinds(tree))
 
     def test_deterministic(self):
         a = random_tree(4, "grow", np.random.default_rng(99))
