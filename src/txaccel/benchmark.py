@@ -75,7 +75,7 @@ def run_benchmark(sequences, methods, orders, bins: int = 10,
     total = matrix.comparisons
     stats = {}
     for name, method in methods.items():
-        values = np.array(method(matrix.windows), dtype=np.float64)
+        values = np.array(method(matrix.windows), dtype=np.float64).reshape(2, -1)
         wins, invalid = matrix.score(values, invalid=True)
         n_wins = int(np.count_nonzero(wins))
         stats[name] = MethodStats(

@@ -18,7 +18,19 @@ rate on the same sequences and positions.  A vector of p is swept in
 blocks of about BLOCK_ELEMENTS values (p-values times windows), one
 kernel call per block, all in one kernel workspace that the evaluator
 keeps: the p-scan then reuses a few cache-sized buffers instead of
-faulting in fresh (P, n) temporaries on each of its calls.
+faulting in fresh (P, n) temporaries on each of its calls.  The
+workspace lays a block out as (2, P, m), the prev values and the curr
+values of the m comparisons as two contiguous arrays, which is the
+layout the score takes.
+
+The fitness of a program at a p is a pure function of the two, so the
+evaluator keeps, for the rest of the run, each tuned program's fits at
+the fixed P_SCAN values and its refine fits for each centre it was
+refined around.  A program that comes back (a copy, or a crossover or
+mutation that rebuilds a program already tuned) sends only its current
+p and its fresh random draws through the kernel; the draws are still
+taken, so the generator is consumed as on a first tuning and the result
+is bitwise the same.
 """
 
 from dataclasses import dataclass, replace
@@ -106,7 +118,12 @@ class FitnessEvaluator(ComparisonMatrix):
     p-values: per block one kernel call on ``windows`` and one ``score``
     (the win rule of ``evaluate`` without its invalid mask), all in the
     ``kernels.Workspace`` that the evaluator makes on its first call and
-    keeps.  ``evals`` counts the p-values scored.
+    keeps.  Its two groups of windows make each block (2, P, m): [prev,
+    curr] on the leading axis, as ``score`` takes them.  ``evals`` counts
+    the p-values scored, memo hits included.  ``memo`` maps a program's
+    opcode and constant bytes to its fits at P_SCAN and a dict of its
+    refine fits by centre; ``memo_hits`` counts the tunings that found
+    their program there.
     """
 
     def __init__(self, sequences, orders):
@@ -116,11 +133,13 @@ class FitnessEvaluator(ComparisonMatrix):
         self.evals = 0
         self.block_rows = max(1, BLOCK_ELEMENTS // self.windows.shape[0])
         self._workspace = None
+        self.memo = {}
+        self.memo_hits = 0
 
     def fitness_program(self, program, p):
         """Fitness at ``p``: a float, or one per entry of a 1-D array."""
         if self._workspace is None:
-            self._workspace = Workspace(self.windows, self.block_rows)
+            self._workspace = Workspace(self.windows, self.block_rows, groups=2)
         ps = np.atleast_1d(p)
         wins = np.empty(ps.shape, dtype=np.intp)
         for start in range(0, ps.size, self.block_rows):
@@ -156,19 +175,35 @@ def _optimize_parameter(f, evaluator, rng):
     the current p, P_SCAN and P_DRAWS uniform draws from P_RANGE; the
     second refines around the first batch's best.  The first best p wins,
     and ``f`` itself is returned unless some p is strictly fitter than
-    ``f.p``.
+    ``f.p``.  Fits at P_SCAN, and refine fits around a centre met before,
+    come from ``evaluator.memo`` when the program was tuned before.
     """
     program = compile_formula(f)
     if not (contains_parameter(f.numerator) or contains_parameter(f.denominator)):
         return f, evaluator.fitness_program(program, f.p)
 
-    scan = np.concatenate(([f.p], P_SCAN, rng.uniform(*P_RANGE, P_DRAWS)))
-    scan_fit = evaluator.fitness_program(program, scan)
-    center = scan[np.argmax(scan_fit)]
+    draws = rng.uniform(*P_RANGE, P_DRAWS)
+    scan = np.concatenate(([f.p], P_SCAN, draws))
+    key = program.code.tobytes(), program.consts.tobytes()
+    entry = evaluator.memo.get(key)
+    if entry is None:
+        scan_fit = evaluator.fitness_program(program, scan)
+        entry = evaluator.memo[key] = (scan_fit[1:1 + P_SCAN.size].copy(), {})
+    else:
+        fresh = evaluator.fitness_program(program, np.concatenate(([f.p], draws)))
+        scan_fit = np.concatenate((fresh[:1], entry[0], fresh[1:]))
+        evaluator.evals += P_SCAN.size
+        evaluator.memo_hits += 1
+    center = float(scan[np.argmax(scan_fit)])
     half = max(REFINE_MIN, abs(center) * REFINE_RELATIVE)
     refine = np.linspace(center - half, center + half, REFINE_POINTS)
+    refine_fit = entry[1].get(center)
+    if refine_fit is None:
+        refine_fit = entry[1][center] = evaluator.fitness_program(program, refine)
+    else:
+        evaluator.evals += REFINE_POINTS
     candidates = np.concatenate((scan, refine))
-    fits = np.concatenate((scan_fit, evaluator.fitness_program(program, refine)))
+    fits = np.concatenate((scan_fit, refine_fit))
     best = int(np.argmax(fits))
     if best == 0:
         return f, float(fits[0])
@@ -210,6 +245,7 @@ class EvolutionReport:
     target_reached: bool
     comparisons: int
     evals: int
+    memo_hits: int
 
     def runlog_rows(self):
         yield "generation,best_fitness,mean_fitness,evals"
@@ -219,12 +255,20 @@ class EvolutionReport:
 
 
 def split_dataset(sequences, train_fraction: float, rng_seed: int):
-    """Seeded shuffle then split; sizes round(f*n) and the remainder."""
+    """Seeded shuffle then split; sizes round(f*n) and the remainder.
+
+    Raises InvalidConfigError when either side would be empty.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise InvalidConfigError(f"train_fraction {train_fraction} not in (0, 1)")
     sequences = list(sequences)
     perm = np.random.default_rng(rng_seed).permutation(len(sequences))
     n_train = int(round(train_fraction * len(sequences)))
+    if not 0 < n_train < len(sequences):
+        raise InvalidConfigError(
+            f"train_fraction {train_fraction} of {len(sequences)} sequences "
+            f"gives {n_train} training and {len(sequences) - n_train} "
+            "validation sequences; both must be non-empty")
     train = [sequences[i] for i in perm[:n_train]]
     validation = [sequences[i] for i in perm[n_train:]]
     return train, validation
@@ -347,6 +391,7 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
         target_reached=train_fitness > config.target_fitness,
         comparisons=evaluator.comparisons,
         evals=evaluator.evals,
+        memo_hits=evaluator.memo_hits,
     )
 
 
@@ -365,5 +410,6 @@ def write_report(report: EvolutionReport, out_dir) -> None:
         f"validation_fitness={report.validation_fitness:.17g}\n"
         f"comparisons_per_fitness={report.comparisons}\n"
         f"fitness_evaluations={report.evals}\n"
+        f"memo_hits={report.memo_hits}\n"
     )
     (out_dir / "summary.txt").write_text(summary)

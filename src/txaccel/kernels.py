@@ -5,7 +5,10 @@ plus aligned constants) and then evaluated over an (n_windows, 4) matrix
 in one call: a numpy sweep, one opcode at a time over the whole batch.
 The learnable parameter p may be one float or a vector of P values; a
 vector broadcasts against the window columns, so one call scores every
-p-value at once and returns a (P, n_windows) matrix.
+p-value at once and returns a (P, n_windows) matrix.  A caller may have
+the window rows split into groups of consecutive rows, each group's
+values a contiguous (P, n_windows / groups) block of the result: the
+fitness splits its previous-position and current-position windows so.
 
 The sweep allocates nothing per opcode.  Window columns, p and
 constants enter as views that are only read; every other value is
@@ -111,14 +114,22 @@ class Workspace:
     or (rows, 1) value.  An opcode writes its result into a view of the
     buffer of the stack slot the result lands in, so no buffer is written
     while a value lower on the stack still reads it.  The window columns
-    are transposed once, here.
+    are transposed once, here, as ``groups`` runs of n / groups
+    consecutive window rows each: a call's result is laid out as
+    (groups, P, n / groups), so each run's values are one contiguous
+    block of the result (a ``ComparisonMatrix`` uses two, its prev and
+    curr windows).
     """
 
-    def __init__(self, windows, rows):
-        self.windows = windows
-        self.columns = np.ascontiguousarray(windows.T)
-        self.rows = rows
+    def __init__(self, windows, rows, groups=1):
         n = windows.shape[0]
+        if groups < 1 or n % groups:
+            raise InvalidArgumentError(
+                f"{n} window rows do not split into {groups} equal groups")
+        self.windows = windows
+        self.columns = np.ascontiguousarray(windows.T).reshape(4, groups, 1, -1)
+        self.rows = rows
+        self.groups = groups
         self._head = rows * n
         self._size = self._head + max(rows, n, 1)
         self._slots = []
@@ -147,12 +158,12 @@ class Workspace:
 
 
 def _eval_program(code, consts, p_column, workspace):
-    """Result of the postfix sweep; it broadcasts to (..., n).
+    """Result of the postfix sweep; it broadcasts to (groups, P, n / groups).
 
-    The window columns are rows of ``workspace.columns`` and ``p_column``
-    holds the p-values as a column, so a subtree without p stays one row
-    long and a constant stays one element long.  The result is a view of
-    slot 0's buffer.
+    The window columns are the (groups, 1, n / groups) entries of
+    ``workspace.columns`` and ``p_column`` holds the P p-values as a
+    column, so a subtree without p stays one row long and a constant
+    stays one element long.  The result is a view of slot 0's buffer.
     """
     columns = workspace.columns
     stack = []
@@ -213,7 +224,9 @@ def evaluate_program(program: Program, windows: np.ndarray, p,
     giving shape (P, n) with row i evaluated at ``p[i]``.  Without a
     ``workspace`` the result is a fresh array.  With one (made for this
     very ``windows`` array and at least P rows) the result is a view of
-    its buffers, valid until the workspace's next call.
+    its buffers, valid until the workspace's next call; a workspace of
+    ``groups`` > 1 gives it the shape (groups,) + p.shape + (n / groups,),
+    group g holding the values of window rows g n / groups onward.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] != 4:
@@ -231,11 +244,14 @@ def evaluate_program(program: Program, windows: np.ndarray, p,
             f"up to {workspace.rows} p-values per call; got {p.size}"
         )
     with np.errstate(over="ignore"):  # the sweep clamps overflow itself
-        out = _eval_program(program.code, program.consts, p[..., None], workspace)
-    shape = p.shape + windows.shape[:1]
-    if out.shape == shape:
-        return out
-    # Slot 1 held the final division's denominator and is free now.
-    full = workspace.slot(1, shape)
-    np.copyto(full, out)
-    return full
+        out = _eval_program(program.code, program.consts, p.reshape(-1, 1),
+                            workspace)
+    groups = workspace.groups
+    shape = (groups, p.size, windows.shape[0] // groups)
+    if out.shape != shape:
+        # Slot 1 held the final division's denominator and is free now.
+        full = workspace.slot(1, shape)
+        np.copyto(full, out)
+        out = full
+    lead = (groups,) if groups > 1 else ()
+    return out.reshape(lead + p.shape + shape[2:])

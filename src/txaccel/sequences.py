@@ -9,7 +9,10 @@ value is too small to divide by; a method succeeds at a position when its
 error is strictly smaller than the raw sequence's error there.
 ``ComparisonMatrix`` holds the windows of every comparison of a sequence
 set in one matrix and scores a method's values on it; ``evaluate`` and the
-search's fitness both score through it.
+search's fitness both score through it.  Values are scored as [prev, curr]
+on the leading axis, so the two operands of the relative error are two
+contiguous blocks: ``evaluate`` views its (2m,) vector as (2, m) and the
+fitness has the kernel write its blocks as (2, P, m).
 """
 
 import csv
@@ -104,7 +107,8 @@ class ComparisonMatrix:
         terms = np.concatenate(rows) if rows else np.empty((0, 5))
         self.windows = np.concatenate((terms[:, 1:], terms[:, :4]))
         self.comparisons = terms.shape[0]
-        self.raw_errors = relative_errors(self.windows[:, 0].copy())
+        self.raw_errors = relative_errors(
+            self.windows[:, 0].reshape(2, -1).copy())
         self.c = np.repeat([seq.c for seq in self.sequences], len(self.orders))
         self.order_index = np.tile(np.arange(len(self.orders)), len(self.sequences))
 
@@ -126,13 +130,17 @@ class ComparisonMatrix:
         return np.array(ends, dtype=np.intp)
 
     def score(self, values, invalid=False, out=None):
-        """Win mask of a method's ``values`` on ``windows``, shape (..., 2m).
+        """Win mask of a method's ``values`` on ``windows``, shape (2, ..., m).
 
-        A comparison is a win when the method's relative error is strictly
+        ``values[0]`` holds the method's values on the m previous-position
+        windows and ``values[1]`` those on the m current-position ones; a
+        method's (2m,) values on ``windows`` reshape to that for free.  A
+        comparison is a win when the method's relative error is strictly
         below the raw error, and invalid when that error is not finite (an
         INVALID value or a vanishing current value).  ``values`` is
-        overwritten.  A bool ``out`` of the mask's shape receives the win
-        mask.  With ``invalid`` the invalid mask comes back too.
+        overwritten.  A bool ``out`` of the mask's shape, (..., m),
+        receives the win mask.  With ``invalid`` the invalid mask comes
+        back too.
         """
         err = relative_errors(values, out)
         wins = np.less(err, self.raw_errors, out=out)
@@ -140,15 +148,20 @@ class ComparisonMatrix:
 
 
 def relative_errors(values, mask=None):
-    """|curr - prev| / |curr| of [prev; curr] on the last axis, in place.
+    """|curr - prev| / |curr| of [prev, curr] on the leading axis, in place.
 
     Entries with |curr| < TINY_DENOMINATOR read UNDEFINED_ERROR.  The
-    errors overwrite the prev half, which is returned.  A bool ``mask`` of
-    the result's shape is scratch space for finding those entries.
+    errors overwrite ``values[0]``, which is returned.  A bool ``mask`` of
+    the result's shape is scratch space for finding those entries.  When
+    ``values`` is C-contiguous, every pass runs over two contiguous blocks
+    and numpy needs no iteration buffers.
     """
-    m = values.shape[-1] // 2
-    prev = values[..., :m]
-    curr = values[..., m:]
+    if values.shape[:1] != (2,):
+        raise InvalidArgumentError(
+            f"values must hold [prev, curr] on a leading axis of 2, got "
+            f"shape {values.shape}")
+    prev = values[0, ...]
+    curr = values[1, ...]
     with np.errstate(all="ignore"):
         err = np.subtract(curr, prev, out=prev)
         np.abs(err, out=err)

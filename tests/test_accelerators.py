@@ -131,17 +131,17 @@ class TestApplyAccelerator:
         [seq] = generate_grid(DatasetConfig(c_min=0.7, c_max=0.7, c_count=1,
                                             widths=(5.0,)))
         matrix = ComparisonMatrix([seq], EVAL_ORDERS)
-        errors = relative_errors(matrix.windows[:, 0].copy())
+        errors = relative_errors(matrix.windows[:, 0].reshape(2, -1).copy())
         for j, order in enumerate(EVAL_ORDERS):
             i = seq.orders.index(order)
             raw = relative_error(seq.values[i], seq.values[i - 1])
             assert errors[j] == raw
             assert matrix.raw_errors[j] == raw
-        assert not matrix.score(matrix.windows[:, 0].copy()).any()
+        assert not matrix.score(matrix.windows[:, 0].reshape(2, -1).copy()).any()
 
     def test_aitken_is_flat_on_geometric(self):
         matrix = ComparisonMatrix([geometric_sequence()], EVAL_ORDERS)
-        values = aitken(matrix.windows)
+        values = aitken(matrix.windows).reshape(2, -1)
         wins, invalid = matrix.score(values.copy(), invalid=True)
         assert not invalid.any()
         assert wins.all()
@@ -151,7 +151,8 @@ class TestApplyAccelerator:
         [seq] = generate_grid(DatasetConfig(c_min=0.9, c_max=0.9, c_count=1,
                                             widths=(10.0,)))
         matrix = ComparisonMatrix([seq], EVAL_ORDERS)
-        a, w = aitken(matrix.windows), wynn(matrix.windows)
+        a = aitken(matrix.windows).reshape(2, -1)
+        w = wynn(matrix.windows).reshape(2, -1)
         _, invalid_a = matrix.score(a.copy(), invalid=True)
         _, invalid_w = matrix.score(w.copy(), invalid=True)
         assert np.array_equal(invalid_a, invalid_w)
@@ -169,7 +170,7 @@ class TestApplyAccelerator:
         for method in METHODS.values():
             values = method(matrix.windows)
             assert np.all(np.isfinite(values) | (values == INVALID))
-            wins, invalid = matrix.score(values.copy(), invalid=True)
+            wins, invalid = matrix.score(values.reshape(2, m).copy(), invalid=True)
             expected = ((values[:m] == INVALID) | (values[m:] == INVALID)
                         | (np.abs(values[m:]) < 1e-300))
             assert np.array_equal(invalid, expected)

@@ -144,6 +144,17 @@ class TestEvolve:
                    "--gens", "1", "--split", split,
                    "--out", str(tmp_path / "r")) == 2
 
+    def test_split_leaving_no_validation_is_usage_error(self, tmp_path, capsys):
+        # round(0.9 * 3) = 3 training sequences would leave none to validate.
+        data = tmp_path / "three.csv"
+        assert run("generate", "--out", str(data), "--c-count", "3",
+                   "--widths", "1") == 0
+        out = tmp_path / "r"
+        assert run("evolve", "--data", str(data), "--pop", "4", "--gens", "1",
+                   "--split", "0.9", "--out", str(out)) == 2
+        assert "3 training and 0 validation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_a_data_error(self, tmp_path):
         assert run("evolve", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "r")) == 3

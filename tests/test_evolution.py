@@ -1,12 +1,16 @@
+import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import Window, aitken, eval_formula, is_invalid, scalar_scores
 from txaccel import evolution
+from txaccel.cli import main
 from txaccel.errors import InsufficientHistoryError, InvalidConfigError
 from txaccel.evolution import (
+    P_DRAWS,
     EvolutionConfig,
     FitnessEvaluator,
     _initial_population,
@@ -18,7 +22,7 @@ from txaccel.evolution import (
     write_report,
 )
 from txaccel.kernels import compile_formula, evaluate_program
-from txaccel.sequences import TINY_DENOMINATOR, Sequence
+from txaccel.sequences import TINY_DENOMINATOR, Sequence, relative_errors
 from txaccel.trees import (
     DIV_GUARD,
     Formula,
@@ -29,6 +33,8 @@ from txaccel.trees import (
 )
 
 ORDERS = (20, 28, 36, 44, 52)
+REFERENCE_DATASET = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "reference" / "dataset.csv")
 
 
 def geometric_training_set(n_seq=12, seed=0, prefix="g"):
@@ -89,6 +95,12 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(InvalidConfigError):
             split_dataset(geometric_training_set(4), 1.0, 0)
+
+    @pytest.mark.parametrize("fraction, sizes", [(0.9, "3 training and 0 validation"),
+                                                 (0.1, "0 training and 3 validation")])
+    def test_empty_side_rejected(self, fraction, sizes):
+        with pytest.raises(InvalidConfigError, match=sizes):
+            split_dataset(geometric_training_set(3), fraction, 0)
 
 
 class TestFitness:
@@ -203,18 +215,50 @@ class TestFitness:
         count = {"1": 1, "R-1": rows - 1, "R": rows, "R+1": rows + 1,
                  "2R+5": 2 * rows + 5, "217": 217}[size]
         ps = np.resize(self.P_POOL, count)
+        m = evaluator.comparisons
         wins = tiny = 0
         for text in self.BLOCK_PROGRAMS:
             program = compile_formula(parse(text))
             accel = evaluate_program(program, evaluator.windows, ps)
             tiny += np.count_nonzero(np.abs(accel) < TINY_DENOMINATOR)
-            expected = (np.count_nonzero(evaluator.score(accel), axis=-1)
-                        / evaluator.comparisons)
+            # [prev, curr] on the leading axis, as the score takes them.
+            halves = np.stack((accel[:, :m], accel[:, m:]))
+            expected = np.count_nonzero(evaluator.score(halves), axis=-1) / m
             fits = evaluator.fitness_program(program, ps)
             assert np.array_equal(fits.view(np.uint64), expected.view(np.uint64))
             wins += np.count_nonzero(fits)
         assert wins > 0 and tiny > 0
         assert evaluator.evals == count * len(self.BLOCK_PROGRAMS)
+
+    @staticmethod
+    def last_axis_errors(values):
+        """Relative errors of [prev; curr] halves of the last axis: the
+        layout the score took before it moved [prev, curr] to the leading
+        axis, with the same IEEE operations."""
+        m = values.shape[-1] // 2
+        prev, curr = values[..., :m], values[..., m:]
+        with np.errstate(all="ignore"):
+            err = np.abs(curr - prev) / np.abs(curr)
+        err[np.abs(curr) < TINY_DENOMINATOR] = np.inf
+        return err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_leading_axis_score_equals_last_axis_formula(self):
+        evaluator = self.extreme_evaluator()
+        m = evaluator.comparisons
+        undefined = 0
+        for text in self.BLOCK_PROGRAMS:
+            accel = evaluate_program(compile_formula(parse(text)),
+                                     evaluator.windows, self.P_POOL)
+            old = self.last_axis_errors(accel)
+            undefined += np.count_nonzero(~np.isfinite(old))
+            halves = np.stack((accel[:, :m], accel[:, m:]))
+            err = relative_errors(halves.copy())
+            assert np.array_equal(err.view(np.uint64), old.view(np.uint64))
+            wins, invalid = evaluator.score(halves.copy(), invalid=True)
+            assert np.array_equal(wins, old < evaluator.raw_errors)
+            assert np.array_equal(invalid, ~np.isfinite(old))
+        assert undefined > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_evaluator_scores_programs_back_to_back(self):
@@ -351,6 +395,47 @@ class TestOptimizeParameter:
         b, _ = _optimize_parameter(f, evaluator, np.random.default_rng(5))
         assert a.p == b.p
 
+    @staticmethod
+    def kernel_p_values(monkeypatch):
+        """A list that grows by the p-values of every kernel call the
+        fitness makes from now on."""
+        counted = []
+
+        def counting(program, windows, p, workspace=None):
+            counted.append(np.size(p))
+            return evaluate_program(program, windows, p, workspace)
+
+        monkeypatch.setattr(evolution, "evaluate_program", counting)
+        return counted
+
+    def test_memo_hit_matches_a_cold_tuning(self, monkeypatch):
+        f = step_formula(p=0.1)
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        first = _optimize_parameter(f, evaluator, np.random.default_rng(7))
+        evals = evaluator.evals
+        counted = self.kernel_p_values(monkeypatch)
+        warm_rng, cold_rng = np.random.default_rng(7), np.random.default_rng(7)
+        warm = _optimize_parameter(f, evaluator, warm_rng)
+        assert sum(counted) <= 1 + P_DRAWS
+        cold_evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        cold = _optimize_parameter(f, cold_evaluator, cold_rng)
+        assert warm == cold == first
+        assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
+        assert evaluator.evals - evals == cold_evaluator.evals
+        assert (evaluator.memo_hits, cold_evaluator.memo_hits) == (1, 0)
+
+    def test_programs_differing_in_a_constant_do_not_share_an_entry(self):
+        one, two = step_formula(shift=0.5, p=0.1), step_formula(shift=0.25, p=0.1)
+        assert np.array_equal(compile_formula(one).code, compile_formula(two).code)
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        _optimize_parameter(one, evaluator, np.random.default_rng(7))
+        tuned = _optimize_parameter(two, evaluator, np.random.default_rng(7))
+        cold = _optimize_parameter(two, FitnessEvaluator(geometric_training_set(),
+                                                         ORDERS),
+                                   np.random.default_rng(7))
+        assert evaluator.memo_hits == 0 and len(evaluator.memo) == 2
+        assert tuned == cold
+
 
 def tournament_winner(population, rng, tournament_size=3):
     """The formula that wins one of evolve's tournaments over
@@ -469,6 +554,31 @@ class TestEvolve:
             [h.best_fitness for h in b.history]
         assert a.evals == b.evals
 
+    def test_memo_changes_no_result(self, monkeypatch):
+        # A run in which a tuned program comes back and is refined around
+        # another centre than before; it was picked among small runs as one
+        # whose result changes if refine fits are reused across centres.
+        training = geometric_training_set(12, seed=0)
+        config = EvolutionConfig(population_size=8, max_generations=4,
+                                 rng_seed=4, target_fitness=1.0)
+        report = evolve(config, training, [])
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        class Cold(FitnessEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.memo = Forgetful()
+
+        monkeypatch.setattr(evolution, "FitnessEvaluator", Cold)
+        cold = evolve(config, training, [])
+        assert report.memo_hits > 0 and cold.memo_hits == 0
+        assert serialize(report.best_formula) == serialize(cold.best_formula)
+        assert (report.train_fitness, report.history, report.evals) == (
+            cold.train_fitness, cold.history, cold.evals)
+
     def test_empty_training_rejected(self):
         with pytest.raises(InvalidConfigError):
             evolve(EvolutionConfig(), [], [])
@@ -491,7 +601,24 @@ class TestEvolve:
         lines = (tmp_path / "runlog.csv").read_text().splitlines()
         assert lines[0] == "generation,best_fitness,mean_fitness,evals"
         assert len(lines) == len(report.history) + 1
-        assert "train_fitness=" in (tmp_path / "summary.txt").read_text()
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "train_fitness=" in summary
+        assert summary.endswith(f"memo_hits={report.memo_hits}\n")
+
+    def test_golden_reference_run(self, tmp_path):
+        # A 30-generation run on the stored reference dataset, of which
+        # most p-tunings find their program in the memo; its outputs are
+        # those of the search before it had one.
+        out = tmp_path / "run"
+        assert main(["evolve", "--data", str(REFERENCE_DATASET), "--target", "1.0",
+                     "--gens", "30", "--seed", "3", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("formula.txt", "runlog.csv")}
+        assert digests == {
+            "formula.txt": "e78adc5ac801c0430643f2d5a8e1a29198ad2311cd132eb8caa13238a3cc3355",
+            "runlog.csv": "b82fa46985ebb536da3938dc05bcb08740f3f044cc49686e1c04f2473d30299f",
+        }
+        assert "memo_hits=556\n" in (out / "summary.txt").read_text()
 
 
 class TestConfigValidation:

@@ -182,6 +182,32 @@ def test_reused_workspace_matches_fresh_sweeps_bitwise():
             assert np.array_equal(reused.view(np.uint64), fresh.view(np.uint64))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grouped_workspace_lays_out_contiguous_groups():
+    # groups=2 gives the values of the first and the second half of the
+    # window rows as two contiguous (P, n/2) blocks, bitwise those of the
+    # ungrouped (P, n) result.
+    rng = np.random.default_rng(49)
+    windows = extreme_windows(rng, 60)
+    workspace = kernels.Workspace(windows, rows=7, groups=2)
+    texts = BRANCH_FORMULAS + ("(formula :p 0.5 :num p :den 2.0)",
+                               "(formula :p 0.5 :num (sub Sn Snm1) :den (d2))")
+    for text in texts:
+        program = compile_formula(parse(text))
+        for p in (rng.choice(EXTREME_PS, 7), rng.choice(EXTREME_PS, 1)[0]):
+            grouped = kernels.evaluate_program(program, windows, p, workspace)
+            fresh = kernels.evaluate_program(program, windows, p)
+            assert grouped.shape == (2,) + np.shape(p) + (30,)
+            assert grouped[0].flags.c_contiguous and grouped[1].flags.c_contiguous
+            halves = np.stack((fresh[..., :30], fresh[..., 30:]))
+            assert np.array_equal(grouped.view(np.uint64), halves.view(np.uint64))
+
+
+def test_groups_must_split_the_windows():
+    with pytest.raises(InvalidArgumentError, match="equal groups"):
+        kernels.Workspace(np.ones((5, 4)), rows=2, groups=2)
+
+
 def test_workspace_must_fit_the_call():
     windows = np.ones((5, 4))
     workspace = kernels.Workspace(windows, rows=2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def make_sequence(values, orders=None, c=0.5, width=2.0, seq_id="t"):
 
 
 def relative_error(curr, prev):
-    return relative_errors(np.array([prev, curr], dtype=float))[0]
+    return float(relative_errors(np.array([prev, curr], dtype=float)))
 
 
 def wins(prev, curr, raw_prev, raw_curr):
@@ -32,7 +33,7 @@ def wins(prev, curr, raw_prev, raw_curr):
     sequence whose terms there are (raw_prev, raw_curr)."""
     seq = make_sequence([1.0, 1.0, 1.0, raw_prev, raw_curr])
     win, invalid = ComparisonMatrix([seq], (20,)).score(
-        np.array([prev, curr], dtype=float), invalid=True)
+        np.array([[prev], [curr]], dtype=float), invalid=True)
     return bool(win[0]), bool(invalid[0])
 
 
@@ -71,6 +72,29 @@ class TestRelativeError:
             for a in (3.0, -7.77, 1e5):
                 scaled = relative_error(a * curr, a * prev)
                 assert scaled == pytest.approx(base, rel=1e-13)
+
+
+def test_relative_errors_on_contiguous_blocks_need_no_buffers():
+    # [prev, curr] on the leading axis of a C-contiguous array: each pass
+    # runs over two contiguous blocks, so numpy allocates no iteration
+    # buffers (a pass over strided halves of a (78, 1680) block took
+    # 120-180 KiB of them).
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 78, 840))
+    mask = np.empty((78, 840), dtype=bool)
+    relative_errors(values.copy(), mask)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        relative_errors(values, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 16 * 1024
+
+
+def test_relative_errors_need_a_leading_axis_of_two():
+    with pytest.raises(InvalidArgumentError, match="leading axis"):
+        relative_errors(np.ones(6))
 
 
 class TestSuccessAt:
