@@ -48,11 +48,9 @@ class BenchmarkReport:
     bin_edges: np.ndarray
     methods: dict  # name -> MethodStats
     n_sequences: int
-    metadata: dict
 
 
-def run_benchmark(sequences, methods, orders, bins: int = 10,
-                  metadata: dict = None) -> BenchmarkReport:
+def run_benchmark(sequences, methods, orders, bins: int = 10) -> BenchmarkReport:
     """Score every method on every (sequence, order) pair.
 
     ``methods`` maps a name to a function from an (n, 4) window array to
@@ -81,7 +79,7 @@ def run_benchmark(sequences, methods, orders, bins: int = 10,
         stats[name] = MethodStats(
             name=name, wins=n_wins, losses=total - n_wins,
             invalids=int(np.count_nonzero(invalid)),
-            success_rate=n_wins / total if total else 0.0,
+            success_rate=n_wins / total,
             grid_wins=grid(wins), grid_counts=counts,
         )
 
@@ -90,7 +88,6 @@ def run_benchmark(sequences, methods, orders, bins: int = 10,
         bin_edges=np.linspace(0.0, 1.0, bins + 1),
         methods=stats,
         n_sequences=len(matrix.sequences),
-        metadata=dict(metadata or {}),
     )
 
 

@@ -5,13 +5,15 @@ Every command writes a plain-text manifest next to its outputs recording
 the resolved configuration, seed, paths, version, the seconds spent in
 each of its stages, and wall-clock time.
 With identical flags and seed the primary outputs are byte-identical.
+The flags are the only settings: no environment variable is read, and
+``--seed`` defaults to 0.  ``generate`` records its seed and nothing more,
+since no value of the grid depends on it.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure
 (its diagnostics follow on stderr as sorted key=value pairs).
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,7 +40,7 @@ from .evolution import (
     split_dataset,
     write_report,
 )
-from .sequences import load_dataset, metadata_path, read_metadata, write_dataset
+from .sequences import load_dataset, write_dataset
 from .transport import DatasetConfig, dataset_metadata, generate_grid
 from .trees import parse
 
@@ -46,23 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-DEFAULT_SEED = 0
-
-
-def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("TXACCEL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"TXACCEL_SEED must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_SEED
-
 
 def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
@@ -101,7 +86,6 @@ def _write_manifest(directory, command, settings, stages):
 
 def cmd_generate(args):
     stages = _StageTimer()
-    seed = _resolve_seed(args.seed)
     if args.n_step < 1:
         raise InvalidArgumentError(f"--n-step must be >= 1, got {args.n_step}")
     config = DatasetConfig(
@@ -109,14 +93,14 @@ def cmd_generate(args):
         widths=tuple(args.widths),
         orders=tuple(range(args.n_min, args.n_max + 1, args.n_step)),
     )
-    sequences = generate_grid(config, rng_seed=seed)
+    sequences = generate_grid(config)
     stages.lap("solve_s")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_dataset(out, sequences, dataset_metadata(config, seed, __version__))
+    write_dataset(out, sequences, dataset_metadata(config, args.seed, __version__))
     stages.lap("write_s")
     _write_manifest(out.parent, "generate", {
-        "out": out, "seed": seed, "c_min": args.c_min, "c_max": args.c_max,
+        "out": out, "seed": args.seed, "c_min": args.c_min, "c_max": args.c_max,
         "c_count": args.c_count, "widths": ",".join(f"{w:g}" for w in args.widths),
         "n_min": args.n_min, "n_max": args.n_max, "n_step": args.n_step,
         "sequences": len(sequences),
@@ -128,9 +112,8 @@ def cmd_generate(args):
 
 def cmd_evolve(args):
     stages = _StageTimer()
-    seed = _resolve_seed(args.seed)
     sequences = load_dataset(args.data)
-    training, validation = split_dataset(sequences, args.split, seed)
+    training, validation = split_dataset(sequences, args.split, args.seed)
     stages.lap("load_s")
     config = EvolutionConfig(
         population_size=args.pop,
@@ -142,7 +125,7 @@ def cmd_evolve(args):
         max_depth=args.depth,
         target_fitness=args.target,
         evaluation_orders=tuple(args.positions),
-        rng_seed=seed,
+        rng_seed=args.seed,
     )
     report = evolve(config, training, validation)
     stages.lap("search_s")
@@ -150,7 +133,7 @@ def cmd_evolve(args):
     write_report(report, out)
     stages.lap("write_s")
     _write_manifest(out, "evolve", {
-        "data": args.data, "out": out, "seed": seed, "pop": args.pop,
+        "data": args.data, "out": out, "seed": args.seed, "pop": args.pop,
         "gens": args.gens, "cx": args.cx, "mut": args.mut,
         "elite": args.elite, "tourn": args.tourn, "depth": args.depth,
         "target": args.target, "split": args.split,
@@ -168,9 +151,6 @@ def cmd_evolve(args):
 def cmd_evaluate(args):
     stages = _StageTimer()
     sequences = load_dataset(args.data)
-    meta_file = metadata_path(args.data)
-    metadata = read_metadata(meta_file) if meta_file.exists() else {}
-
     methods = {}
     for name in args.methods.split(","):
         name = name.strip()
@@ -190,12 +170,7 @@ def cmd_evaluate(args):
         )
     stages.lap("load_s")
 
-    report = run_benchmark(
-        sequences, methods, args.positions, bins=args.bins,
-        metadata={"dataset": str(args.data), "window_policy": "trailing-4",
-                  "wynn_column": 2, "artifact_version": __version__,
-                  **metadata},
-    )
+    report = run_benchmark(sequences, methods, args.positions, bins=args.bins)
     stages.lap("score_s")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,8 +203,9 @@ def build_parser():
                          help="solve the (c, width) grid and write the "
                               "dataset CSV")
     gen.add_argument("--out", required=True, help="dataset CSV path")
-    gen.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: $TXACCEL_SEED or 0)")
+    gen.add_argument("--seed", type=int, default=0,
+                     help="recorded in the manifest and in .meta only; no "
+                          "value of the grid depends on it")
     gen.add_argument("--c-min", type=float, default=0.001)
     gen.add_argument("--c-max", type=float, default=0.999)
     gen.add_argument("--c-count", type=int, default=40)
@@ -253,7 +229,7 @@ def build_parser():
     evo.add_argument("--target", type=float, default=0.75)
     evo.add_argument("--split", type=float, default=0.70)
     evo.add_argument("--positions", type=_int_list, default=[20, 28, 36, 44, 52])
-    evo.add_argument("--seed", type=int, default=None)
+    evo.add_argument("--seed", type=int, default=0)
     evo.add_argument("--out", required=True, help="output directory")
     evo.set_defaults(func=cmd_evolve)
 

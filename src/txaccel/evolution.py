@@ -128,8 +128,6 @@ class FitnessEvaluator(ComparisonMatrix):
 
     def __init__(self, sequences, orders):
         super().__init__(sequences, orders)
-        if not self.sequences:
-            raise InvalidConfigError("sequence set must be non-empty")
         self.evals = 0
         self.block_rows = max(1, BLOCK_ELEMENTS // self.windows.shape[0])
         self._workspace = None

@@ -87,12 +87,15 @@ class ComparisonMatrix:
     ``windows`` gives every value the comparisons need, laid out [prev;
     curr].  Beside it sit each comparison's raw error, its sequence's
     scattering ratio ``c`` and its ``order_index`` into ``orders``.
-    ``orders`` must be non-empty and strictly increasing, or each comparison
-    would not be counted exactly once.
+    ``sequences`` must be non-empty, or a success rate would be 0/0, and
+    ``orders`` non-empty and strictly increasing, or each comparison would
+    not be counted exactly once.
     """
 
     def __init__(self, sequences, orders):
         self.sequences = list(sequences)
+        if not self.sequences:
+            raise InvalidArgumentError("sequence set must be non-empty")
         self.orders = tuple(int(n) for n in orders)
         if not self.orders or not all(map(operator.lt, self.orders,
                                            self.orders[1:])):
@@ -104,7 +107,7 @@ class ComparisonMatrix:
         rows = [seq.values[self._window_ends(seq)[:, None] - taps]
                 for seq in self.sequences]
         # Terms i, i-1, ..., i-4: the current window and the previous one.
-        terms = np.concatenate(rows) if rows else np.empty((0, 5))
+        terms = np.concatenate(rows)
         self.windows = np.concatenate((terms[:, 1:], terms[:, :4]))
         self.comparisons = terms.shape[0]
         self.raw_errors = relative_errors(
@@ -210,17 +213,6 @@ def write_metadata(path, metadata: dict) -> None:
     with open(path, "w") as fh:
         for key, value in metadata.items():
             fh.write(f"{key}={value}\n")
-
-
-def read_metadata(path) -> dict:
-    meta = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-    return meta
 
 
 def load_dataset(csv_path) -> list:

@@ -266,14 +266,18 @@ def _at_order(exc, order):
 DEFAULT_WIDTHS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 DEFAULT_ORDERS = tuple(range(4, 53, 4))
 
+#: The paper's unit problem, which every grid solves: sigma_t = 1, so a
+#: width in mean free paths is also the slab length, and a unit source.
+GRID_SIGMA_T = 1.0
+GRID_SOURCE = 1.0
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Grid of (c, width) pairs swept over a fixed list of orders.
+    """Grid of (c, width) pairs of the unit problem (GRID_SIGMA_T,
+    GRID_SOURCE) swept over a fixed list of orders.
 
-    The c grid is log-spaced with both endpoints pinned exactly; set
-    ``jitter`` to resample each interior c log-uniformly within its grid
-    bin (the only use the seed has).
+    The c grid is log-spaced with both endpoints pinned exactly.
     """
 
     c_min: float = 0.001
@@ -281,9 +285,6 @@ class DatasetConfig:
     c_count: int = 40
     widths: tuple = DEFAULT_WIDTHS
     orders: tuple = DEFAULT_ORDERS
-    sigma_t: float = 1.0
-    source: float = 1.0
-    jitter: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
@@ -302,21 +303,10 @@ class DatasetConfig:
             _check_order(order)
         if any(b <= a for a, b in zip(self.orders, self.orders[1:])):
             raise InvalidArgumentError("orders must be strictly increasing")
-        if self.sigma_t <= 0.0:
-            raise InvalidArgumentError(f"sigma_t must be > 0, got {self.sigma_t}")
-        if self.source < 0.0:
-            raise InvalidArgumentError(f"source must be >= 0, got {self.source}")
 
-    def c_values(self, rng_seed: int = 0) -> np.ndarray:
+    def c_values(self) -> np.ndarray:
         grid = np.geomspace(self.c_min, self.c_max, self.c_count)
         grid[0], grid[-1] = self.c_min, self.c_max
-        if self.jitter and self.c_count > 2:
-            rng = np.random.default_rng(rng_seed)
-            log = np.log(grid)
-            lo = 0.5 * (log[:-1] + log[1:])
-            jittered = rng.uniform(np.r_[log[0], lo], np.r_[lo, log[-1]])
-            grid = np.exp(jittered)
-            grid[0], grid[-1] = self.c_min, self.c_max
         return grid
 
     @property
@@ -324,19 +314,19 @@ class DatasetConfig:
         return self.c_count * len(self.widths)
 
 
-def generate_grid(config: DatasetConfig, rng_seed: int = 0) -> list:
+def generate_grid(config: DatasetConfig) -> list:
     """All sequences of the configured grid, in c-major order.
 
     Each order is one `_center_fluxes` call over every (c, width).  On a
     numerical failure the error names the first failing solve by lowest
     order, then width, then c, and carries its `failing_order`.
     """
-    cs = config.c_values(rng_seed)
+    cs = config.c_values()
     columns = []
     for order in config.orders:
         try:
-            columns.append(_center_fluxes(order, config.sigma_t, cs,
-                                          config.widths, config.source))
+            columns.append(_center_fluxes(order, GRID_SIGMA_T, cs,
+                                          config.widths, GRID_SOURCE))
         except NumericalFailureError as exc:
             raise _at_order(exc, order) from exc
     values = np.stack(columns, axis=-1)  # (c, width, order)
@@ -345,17 +335,19 @@ def generate_grid(config: DatasetConfig, rng_seed: int = 0) -> list:
             for i, c in enumerate(cs) for j, width in enumerate(config.widths)]
 
 
-def dataset_metadata(config: DatasetConfig, rng_seed: int, version: str) -> dict:
+def dataset_metadata(config: DatasetConfig, seed: int, version: str) -> dict:
+    """The sidecar's description of a grid; ``seed`` is recorded only, as
+    no value of the grid depends on it."""
     return {
         "c_min": config.c_min,
         "c_max": config.c_max,
         "c_count": config.c_count,
-        "c_spacing": "jittered-log" if config.jitter else "log",
+        "c_spacing": "log",
         "widths_mfp": ",".join(f"{w:g}" for w in config.widths),
         "orders": ",".join(str(n) for n in config.orders),
-        "sigma_t": config.sigma_t,
-        "source": config.source,
-        "seed": rng_seed,
+        "sigma_t": GRID_SIGMA_T,
+        "source": GRID_SOURCE,
+        "seed": seed,
         "sequence_count": config.grid_size,
         "artifact_version": version,
     }

@@ -177,12 +177,6 @@ def random_tree(max_depth: int, method: str, rng) -> Node:
     return Node(kind, children=children)
 
 
-def random_formula(max_depth: int, method: str, rng, p: float = 0.0) -> Formula:
-    num = random_tree(max_depth, method, rng)
-    den = random_tree(max_depth, method, rng)
-    return Formula(num, den, p)
-
-
 def crossover(a: Formula, b: Formula, rng, max_depth: int = 4):
     """Swap one subtree between the same side (num or den) of both parents.
 

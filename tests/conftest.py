@@ -11,7 +11,7 @@ from txaccel.transport import DatasetConfig, generate_grid
 @pytest.fixture(scope="session")
 def dataset240():
     """The default 240-sequence dataset, generated once per session."""
-    return generate_grid(DatasetConfig(), rng_seed=0)
+    return generate_grid(DatasetConfig())
 
 
 @pytest.fixture(scope="session")

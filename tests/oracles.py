@@ -5,7 +5,8 @@ The scalar accelerator route is the per-window reference for
 relative error and one strict comparison per (sequence, position).  The
 scalar formula interpreter at the end is the reference semantics of the
 formula language: a recursion over the tree, one window at a time, that
-``kernels.evaluate_program`` must reproduce bit for bit.
+``kernels.evaluate_program`` must reproduce bit for bit, and
+``random_formula`` draws the random formulas such checks run on.
 
 Diamond-difference discrete ordinates on a uniform spatial mesh, solved
 for the scattering source with GMRES (Saad & Schultz 1986), then
@@ -24,7 +25,13 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from txaccel.trees import CLAMP, DIV_GUARD, DIV_PROTECTED_VALUE
+from txaccel.trees import (
+    CLAMP,
+    DIV_GUARD,
+    DIV_PROTECTED_VALUE,
+    Formula,
+    random_tree,
+)
 
 
 def _dd_sweep(mu, w, sigma_t, h, q):
@@ -320,3 +327,11 @@ def eval_formula(f, window) -> float:
     num = eval_tree(f.numerator, window, f.p)
     den = eval_tree(f.denominator, window, f.p)
     return protected_div(num, den)
+
+
+def random_formula(max_depth: int, method: str, rng, p: float = 0.0) -> Formula:
+    """A formula of two random trees, numerator first, drawn by
+    ``trees.random_tree`` with ``method`` "grow" or "full"."""
+    num = random_tree(max_depth, method, rng)
+    den = random_tree(max_depth, method, rng)
+    return Formula(num, den, p)

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
+from txaccel import __version__
 from txaccel.cli import main
-from txaccel.sequences import load_dataset, read_metadata
+from txaccel.sequences import load_dataset
 from txaccel.trees import parse
 
 
@@ -11,11 +12,16 @@ def run(*argv):
     return main(list(argv))
 
 
+def read_pairs(path):
+    """The key=value lines of a manifest or a .meta sidecar, in file order."""
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
 def manifest_times(directory):
     """The manifest's stage timings and its duration, in file order."""
-    pairs = [line.split("=", 1) for line in
-             (directory / "manifest.txt").read_text().splitlines()]
-    return {key: float(value) for key, value in pairs if key.endswith("_s")}
+    pairs = read_pairs(directory / "manifest.txt")
+    return {key: float(value) for key, value in pairs.items()
+            if key.endswith("_s")}
 
 
 def check_stage_times(directory, stages):
@@ -40,7 +46,7 @@ class TestGenerate:
         seqs = load_dataset(tiny_dataset)
         assert len(seqs) == 8
         assert all(len(s.values) == 13 for s in seqs)
-        meta = read_metadata(tiny_dataset.with_suffix(".meta"))
+        meta = read_pairs(tiny_dataset.with_suffix(".meta"))
         assert meta["seed"] == "1"
         assert meta["sequence_count"] == "8"
         manifest = (tiny_dataset.parent / "manifest.txt").read_text()
@@ -95,12 +101,24 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "condition=" in err and "width=" in err
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TXACCEL_SEED", "123")
-        out = tmp_path / "env.csv"
-        assert run("generate", "--out", str(out), "--c-count", "2",
-                   "--widths", "1") == 0
-        assert read_metadata(out.with_suffix(".meta"))["seed"] == "123"
+    def test_golden_sidecar(self, tmp_path):
+        # Every key in order: the grid is the unit problem on a log c grid,
+        # and the seed is recorded only.
+        out = tmp_path / "dataset.csv"
+        assert run("generate", "--out", str(out), "--seed", "1",
+                   "--c-count", "2", "--widths", "1") == 0
+        assert out.with_suffix(".meta").read_text() == (
+            "c_min=0.001\n"
+            "c_max=0.999\n"
+            "c_count=2\n"
+            "c_spacing=log\n"
+            "widths_mfp=1\n"
+            "orders=4,8,12,16,20,24,28,32,36,40,44,48,52\n"
+            "sigma_t=1.0\n"
+            "source=1.0\n"
+            "seed=1\n"
+            "sequence_count=2\n"
+            f"artifact_version={__version__}\n")
 
 
 class TestEvolve:
@@ -255,6 +273,15 @@ class TestEvaluate:
         out = tmp_path / "x"
         assert run("evaluate", "--data", str(bad), "--out", str(out)) == 2
         assert f"error: {bad}, {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_dataset_is_usage_error(self, tmp_path, capsys):
+        # No comparison to score: a success rate would be 0/0.
+        empty = tmp_path / "empty.csv"
+        empty.write_text("sequence_id,c,width_mfp,order,center_flux\n")
+        out = tmp_path / "x"
+        assert run("evaluate", "--data", str(empty), "--out", str(out)) == 2
+        assert "sequence set must be non-empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_bin(self, tiny_dataset, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from txaccel import kernels
 from txaccel.errors import InvalidArgumentError
-from oracles import Window, eval_formula
+from oracles import Window, eval_formula, random_formula
 from txaccel.kernels import compile_formula, evaluate_program
 from txaccel.trees import (
     CLAMP,
@@ -13,7 +13,6 @@ from txaccel.trees import (
     Formula,
     Node,
     parse,
-    random_formula,
 )
 
 

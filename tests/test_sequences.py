@@ -11,7 +11,6 @@ from txaccel.sequences import (
     Sequence,
     load_dataset,
     metadata_path,
-    read_metadata,
     relative_errors,
     write_dataset,
 )
@@ -145,6 +144,11 @@ class TestWindowAt:
         with pytest.raises(InsufficientHistoryError):
             ComparisonMatrix([seq], (17,))
 
+    def test_sequences_must_be_nonempty(self):
+        # Otherwise a success rate would be 0 of 0 comparisons.
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
+            ComparisonMatrix([], (20,))
+
     @pytest.mark.parametrize("orders", [(), (20, 20), (28, 20), (20, 28, 28)])
     def test_orders_must_be_nonempty_and_increasing(self, orders):
         # Otherwise a comparison would be counted twice, or 0 of 0 scored.
@@ -197,8 +201,7 @@ class TestDatasetIo:
             assert a.orders == b.orders
             assert np.array_equal(a.values, b.values)
             assert a.c == b.c and a.width_mfp == b.width_mfp
-        meta = read_metadata(metadata_path(path))
-        assert meta["seed"] == "0"
+        assert metadata_path(path).read_text() == "seed=0\nnote=test\n"
 
     def test_header_is_validated(self, tmp_path):
         path = tmp_path / "bad.csv"

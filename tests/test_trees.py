@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import Window, eval_formula, eval_tree
+from oracles import Window, eval_formula, eval_tree, random_formula
 from txaccel.accelerators import INVALID, aitken, evolved
 from txaccel.errors import FormulaSyntaxError
 from txaccel.trees import (
@@ -15,7 +15,6 @@ from txaccel.trees import (
     mutate,
     node_count,
     parse,
-    random_formula,
     random_tree,
     serialize,
 )
