@@ -17,7 +17,7 @@ from .evolution import (
     formula_method,
     split_dataset,
 )
-from .quadrature import QuadratureSet, gauss_legendre
+from .quadrature import gauss_legendre
 from .sequences import (
     ComparisonMatrix,
     Sequence,
@@ -25,7 +25,7 @@ from .sequences import (
     relative_errors,
     write_dataset,
 )
-from .transport import DatasetConfig, SlabProblem, generate_grid, solve_sn
+from .transport import DatasetConfig, generate_grid, solve_sn
 from .trees import Formula, Node, parse, serialize
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,10 +9,6 @@ class InvalidArgumentError(TxaccelError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedProblemError(TxaccelError, ValueError):
-    """The physical problem has no solution in the supported class (e.g. c >= 1)."""
-
-
 class InvalidConfigError(TxaccelError, ValueError):
     """A configuration object fails validation."""
 

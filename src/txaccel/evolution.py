@@ -109,6 +109,9 @@ class EvolutionConfig:
                                      "not in (0, 1]")
         if self.max_depth < 1:
             raise InvalidConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+        if self.max_generations < 0:
+            raise InvalidConfigError(
+                f"max_generations must be >= 0, got {self.max_generations}")
 
 
 class FitnessEvaluator(ComparisonMatrix):
@@ -299,8 +302,6 @@ def evolve(config: EvolutionConfig, training, validation) -> EvolutionReport:
     """
     training = list(training)
     validation = list(validation)
-    if not training:
-        raise InvalidConfigError("training set must be non-empty")
     train_ids = {seq.id for seq in training}
     if any(seq.id in train_ids for seq in validation):
         raise InvalidConfigError("training and validation sets overlap")

@@ -6,12 +6,8 @@ by Newton iteration on the Legendre polynomial P_N starting from the
 asymptotic guess cos(pi*(m - 1/4)/(N + 1/2)); weights come from the closed
 form w = 2 / ((1 - x^2) * P_N'(x)^2).
 
-Each order is computed once per process and cached; the returned arrays
-are read-only because every caller shares them.
+Each call computes its rule afresh: a grid asks for each order once.
 """
-
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,19 +20,6 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class QuadratureSet:
-    """Nodes and weights for one even order.
-
-    nodes are strictly increasing and symmetric about 0 (no zero node for
-    even order); weights are positive, symmetric, and sum to 2.
-    """
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 def _legendre_and_derivative(n, x):
     """Evaluate P_n(x) and P_n'(x) by the three-term recurrence."""
     p_prev = np.ones_like(x)
@@ -47,26 +30,22 @@ def _legendre_and_derivative(n, x):
     return p, dp
 
 
-def gauss_legendre(order: int) -> QuadratureSet:
-    """Compute the Gauss-Legendre rule of the given even order.
+def gauss_legendre(order: int):
+    """Nodes and weights of the Gauss-Legendre rule of the given even
+    order, as numpy's ``leggauss`` returns them.
 
-    Raises InvalidArgumentError for odd orders or orders outside
-    [2, 64].  Deterministic; no randomness involved.  The result is
-    cached per order and its arrays are read-only.
+    The nodes are strictly increasing and symmetric about 0 (no zero node
+    for an even order); the weights are positive, symmetric, and sum to 2.
+    Raises InvalidArgumentError for non-integer or odd orders and orders
+    outside [2, 64].  Deterministic; no randomness involved.
     """
-    # Validate before the cache lookup: 4.0 == 4 and both hash alike, so
-    # a cache keyed on the argument could serve 4.0 the rule cached for 4.
     if not isinstance(order, (int, np.integer)):
         raise InvalidArgumentError(f"order must be an integer, got {order!r}")
     if order % 2 != 0 or not (MIN_ORDER <= order <= MAX_ORDER):
         raise InvalidArgumentError(
             f"order must be even and in [{MIN_ORDER}, {MAX_ORDER}], got {order}"
         )
-    return _gauss_legendre(int(order))
-
-
-@lru_cache(maxsize=None)  # at most (MAX_ORDER - MIN_ORDER) / 2 + 1 entries
-def _gauss_legendre(order: int) -> QuadratureSet:
+    order = int(order)
     # Positive half only; the other half is the exact mirror, which keeps
     # the symmetry invariants exact in floating point.
     half = order // 2
@@ -88,6 +67,4 @@ def _gauss_legendre(order: int) -> QuadratureSet:
     wpos = w[::-1]
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureSet(order=order, nodes=nodes, weights=weights)
+    return nodes, weights

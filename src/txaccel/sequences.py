@@ -67,15 +67,6 @@ class Sequence:
                 f"sequence {self.id!r}: c must be in [0, 1], got {self.c}"
             )
 
-    def index_of(self, order: int) -> int:
-        try:
-            return self.orders.index(order)
-        except ValueError:
-            raise InsufficientHistoryError(
-                f"sequence {self.id!r} has no term at order {order} "
-                f"(orders {self.orders[0]}..{self.orders[-1]})"
-            ) from None
-
 
 class ComparisonMatrix:
     """Every (sequence, order) comparison of a sequence set as one window matrix.
@@ -119,10 +110,13 @@ class ComparisonMatrix:
         ends = []
         for order in self.orders:
             try:
-                i = seq.index_of(order)
-            except InsufficientHistoryError as exc:
+                i = seq.orders.index(order)
+            except ValueError:
                 raise InsufficientHistoryError(
-                    f"insufficient window history: {exc}") from None
+                    f"insufficient window history: sequence {seq.id!r} has no "
+                    f"term at order {order} (orders {seq.orders[0]}.."
+                    f"{seq.orders[-1]})"
+                ) from None
             if i < 4:
                 raise InsufficientHistoryError(
                     f"insufficient window history: evaluation order {order} "

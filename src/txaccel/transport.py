@@ -1,21 +1,26 @@
 """Analytic discrete-ordinates solution of the steady, mono-energetic,
-isotropically scattering slab with a uniform source and vacuum boundaries.
+isotropically scattering unit slab with a uniform source and vacuum
+boundaries.
+
+The unit slab has total cross section sigma_t = 1 and a uniform isotropic
+source Q = 1 (a total emission density; each direction receives Q/2), so
+a width in mean free paths (mfp) is also the slab length.  It is the only
+slab solved: in optical depth sigma_t x any other is this one with every
+angular flux scaled by Q / sigma_t, so for a width w in mfp
+    phi(sigma_t, Q, c, w) = (Q / sigma_t) phi(1, 1, c, w).
 
 The angle-discretized system
-    mu_m dpsi_m/dx + sigma_t psi_m = (sigma_s / 2) sum_j w_j psi_j + Q/2
+    mu_m dpsi_m/dx + psi_m = (c / 2) sum_j w_j psi_j + 1/2
 is solved exactly in space by the half-range analytical discrete-ordinates
 (ADO) method (Barichello & Siewert, JQSRT 62 (1999) 665).  The symmetric
 Gauss-Legendre quadrature pairs each direction mu with -mu, so the
 homogeneous modes psi(x, +-mu) = Phi+-(nu, mu) exp(-x / nu) come from a
 symmetric positive-definite eigenproblem of size N/2 on the positive
-nodes; the particular solution is the constant Q / (2 sigma_t (1 - c)) in
-every direction.  The only discretization is angular, so sweeping the
-quadrature order N yields clean convergence sequences of the center
-scalar flux phi(L/2) = sum_m w_m psi_m(L/2).
-
-The uniform isotropic source Q is a total emission density; each
-direction receives Q/2, which makes the infinite-medium scalar flux
-Q / (sigma_t (1 - c)).
+nodes; the particular solution is the constant 1 / (2 (1 - c)) in every
+direction, which makes the infinite-medium scalar flux 1 / (1 - c).  The
+only discretization is angular, so sweeping the quadrature order N yields
+clean convergence sequences of the center scalar flux
+phi(L/2) = sum_m w_m psi_m(L/2).
 
 The slab is mirror symmetric about its center, so the modes decaying from
 the far face carry the same coefficients as those decaying from the near
@@ -23,8 +28,8 @@ face, and the vacuum condition at x = 0 alone is an N/2 x N/2 system.  Every
 exponential is exp(-distance / nu) <= 1 whatever the slab thickness.
 
 There is one solve path, `_center_fluxes`, which takes one order and a
-list of c values and widths.  The eigenmodes depend only on (N, sigma_t,
-c), so one stacked `eigh` covers every c of the order; each width is then
+list of c values and widths.  The eigenmodes depend only on (N, c), so
+one stacked `eigh` covers every c of the order; each width is then
 one stacked boundary system over every c, with its condition numbers,
 solve and center fluxes computed for the whole stack.  A grid therefore
 solves each (N, c) eigenproblem exactly once, and `solve_sn` is the case
@@ -45,12 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidConfigError,
-    NumericalFailureError,
-    UnsupportedProblemError,
-)
+from .errors import InvalidArgumentError, InvalidConfigError, NumericalFailureError
 from .quadrature import gauss_legendre
 from .sequences import Sequence
 
@@ -63,32 +63,6 @@ MAX_BOUNDARY_CONDITION = 1e12
 #: Largest accepted bound on the center flux's relative rounding error.
 _ROUNDING_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class SlabProblem:
-    """Homogeneous slab: total cross section, scattering ratio c,
-    width in mean free paths, and uniform isotropic source."""
-
-    sigma_t: float = 1.0
-    scattering_ratio: float = 0.0
-    width: float = 1.0
-    source: float = 1.0
-
-    def __post_init__(self):
-        if self.scattering_ratio >= 1.0:
-            raise UnsupportedProblemError(
-                f"scattering ratio c={self.scattering_ratio} >= 1 has no "
-                "bounded particular solution"
-            )
-        if self.scattering_ratio < 0.0:
-            raise InvalidArgumentError(f"c must be >= 0, got {self.scattering_ratio}")
-        if self.sigma_t <= 0.0:
-            raise InvalidArgumentError(f"sigma_t must be > 0, got {self.sigma_t}")
-        if self.width <= 0.0:
-            raise InvalidArgumentError(f"width must be > 0, got {self.width}")
-        if self.source < 0.0:
-            raise InvalidArgumentError(f"source must be >= 0, got {self.source}")
 
 
 def _check_order(order):
@@ -127,25 +101,23 @@ def _svd_condition(stack):
         return s[:, 0] / s[:, -1]
 
 
-def _solve_center(boundary, psi, length, nu, w_u):
+def _solve_center(boundary, psi, width, nu, w_u):
     """Center fluxes of a stack of boundary systems with particular
     angular fluxes psi."""
     coeff = np.linalg.solve(
         boundary, np.repeat(-psi[:, None, None], boundary.shape[-1], axis=1))
-    coeff *= np.exp(-0.5 * length / nu[:, :, None])
+    coeff *= np.exp(-0.5 * width / nu[:, :, None])
     return 2.0 * psi + 2.0 * np.matmul(w_u, coeff)[:, 0, 0]
 
 
-def _rounding_bound(condition, psi, center, source):
+def _rounding_bound(condition, psi, center):
     """The boundary solve's rounding error, up to condition * eps relative
     to the particular flux 2 psi, as a share of the center flux it cancels
     to."""
-    if not source:
-        return np.zeros(len(center))
     return condition * _EPS * 2.0 * psi / np.abs(center)
 
 
-def _center_fluxes(order, sigma_t, cs, widths, source):
+def _center_fluxes(order, cs, widths):
     """Center fluxes of one quadrature order: a (C, W) array over the
     scattering ratios cs and the widths (in mean free paths).
 
@@ -156,14 +128,14 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
     width by width and c by c, an ill-conditioned boundary system or a
     rounding error bound above 1e-10 relative to the center flux.
     """
-    quad = gauss_legendre(order)
+    nodes, weights = gauss_legendre(order)
     half = order // 2
-    mu, w = quad.nodes[half:], quad.weights[half:]
+    mu, w = nodes[half:], weights[half:]
     root_w = np.sqrt(w)
     v = mu * root_w
     cs = np.asarray(cs, dtype=float)
     # Symmetric positive definite: diag(mu^2) plus a non-negative rank-one
-    # term, so no entry cancels even as c -> 1.  Eigenvalues (sigma_t nu)^2.
+    # term, so no entry cancels even as c -> 1.  Eigenvalues nu^2.
     matrix = (cs / (1.0 - cs))[:, None, None] * np.outer(v, v)
     matrix += np.diag(mu * mu)
     eta, u = np.linalg.eigh(matrix)
@@ -175,10 +147,10 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
             {"eta_min": float(eta_min[k]), "order": order, "c": float(cs[k]),
              "width": widths[0]},
         )
-    sigma_nu = np.sqrt(eta)
+    nu = np.sqrt(eta)
     u /= (root_w * mu)[:, None]
     odd = mu[:, None] * u
-    odd /= sigma_nu[:, None, :]
+    odd /= nu[:, None, :]
     w_u = np.matmul(w, u)[:, None, :]
     phi_plus = u + odd
     phi_plus *= 0.5
@@ -186,15 +158,13 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
     phi_minus -= odd
     phi_minus *= 0.5
     del matrix, odd  # the width loop reads neither; frees 2 stacks for it
-    nu = sigma_nu / sigma_t
-    psi_particular = 0.5 * source / (sigma_t - cs * sigma_t)
+    psi_particular = 0.5 / (1.0 - cs)
 
     fluxes = np.empty((len(cs), len(widths)))
     for j, width in enumerate(widths):
-        length = width / sigma_t
         # Mirror symmetry: the far-face coefficients equal the near-face
         # ones, so the vacuum condition at x = 0 alone fixes them.
-        boundary = phi_minus * np.exp(-length / nu)[:, None, :]
+        boundary = phi_minus * np.exp(-width / nu)[:, None, :]
         boundary += phi_plus
         # Screen: twice the Frobenius bound clears every c of the stack
         # when it passes both checks, and the factor 2 covers the rounding
@@ -203,8 +173,8 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
         if bound is not None:
             bound *= 2.0
             if (bound <= MAX_BOUNDARY_CONDITION).all():
-                center = _solve_center(boundary, psi_particular, length, nu, w_u)
-                if (_rounding_bound(bound, psi_particular, center, source)
+                center = _solve_center(boundary, psi_particular, width, nu, w_u)
+                if (_rounding_bound(bound, psi_particular, center)
                         <= _ROUNDING_TOL).all():
                     fluxes[:, j] = center
                     continue
@@ -214,9 +184,9 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
         ill = _first_failure(condition <= MAX_BOUNDARY_CONDITION)
         solved = len(cs) if ill is None else ill
         psi = psi_particular[:solved]
-        center = _solve_center(boundary[:solved], psi, length, nu[:solved],
+        center = _solve_center(boundary[:solved], psi, width, nu[:solved],
                                w_u[:solved])
-        error_bound = _rounding_bound(condition[:solved], psi, center, source)
+        error_bound = _rounding_bound(condition[:solved], psi, center)
         k = _first_failure(error_bound <= _ROUNDING_TOL)
         if k is not None:
             raise NumericalFailureError(
@@ -237,20 +207,24 @@ def _center_fluxes(order, sigma_t, cs, widths, source):
     return fluxes
 
 
-def solve_sn(problem: SlabProblem, order: int) -> float:
-    """Exact angle-discretized center flux for one quadrature order.
+def solve_sn(c: float, width: float, order: int) -> float:
+    """Exact angle-discretized center flux of the unit slab with
+    scattering ratio c and width in mean free paths, at one quadrature
+    order.
 
-    Raises InvalidArgumentError for unsupported orders,
-    UnsupportedProblemError for c >= 1 (at problem construction), and
-    NumericalFailureError when an internal self-check trips (a
-    non-positive eigenvalue, an ill-conditioned boundary system, or a
-    rounding error bound above 1e-10 relative to the center flux).
+    Raises InvalidArgumentError for c outside [0, 1) (c >= 1 has no
+    bounded particular solution), a width that is not > 0 (NaN included)
+    and unsupported orders, and NumericalFailureError when an internal
+    self-check trips (a non-positive eigenvalue, an ill-conditioned
+    boundary system, or a rounding error bound above 1e-10 relative to the
+    center flux).
     """
+    if not 0.0 <= c < 1.0:
+        raise InvalidArgumentError(f"c must be in [0, 1), got {c}")
+    if not width > 0.0:
+        raise InvalidArgumentError(f"width must be > 0, got {width}")
     _check_order(order)
-    order = int(order)
-    fluxes = _center_fluxes(order, problem.sigma_t, [problem.scattering_ratio],
-                            [problem.width], problem.source)
-    return float(fluxes[0, 0])
+    return float(_center_fluxes(int(order), [c], [width])[0, 0])
 
 
 def _at_order(exc, order):
@@ -266,16 +240,10 @@ def _at_order(exc, order):
 DEFAULT_WIDTHS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 DEFAULT_ORDERS = tuple(range(4, 53, 4))
 
-#: The paper's unit problem, which every grid solves: sigma_t = 1, so a
-#: width in mean free paths is also the slab length, and a unit source.
-GRID_SIGMA_T = 1.0
-GRID_SOURCE = 1.0
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Grid of (c, width) pairs of the unit problem (GRID_SIGMA_T,
-    GRID_SOURCE) swept over a fixed list of orders.
+    """Grid of (c, width) pairs of the unit slab swept over a fixed list
+    of orders.
 
     The c grid is log-spaced with both endpoints pinned exactly.
     """
@@ -295,7 +263,7 @@ class DatasetConfig:
             )
         if self.c_count < 1 or (self.c_count < 2 and self.c_min != self.c_max):
             raise InvalidConfigError(f"c_count {self.c_count} too small for range")
-        if len(self.widths) == 0 or any(w <= 0 for w in self.widths):
+        if len(self.widths) == 0 or not all(w > 0 for w in self.widths):
             raise InvalidConfigError("widths must be positive and non-empty")
         if len(self.orders) == 0:
             raise InvalidConfigError("orders must be non-empty")
@@ -325,8 +293,7 @@ def generate_grid(config: DatasetConfig) -> list:
     columns = []
     for order in config.orders:
         try:
-            columns.append(_center_fluxes(order, GRID_SIGMA_T, cs,
-                                          config.widths, GRID_SOURCE))
+            columns.append(_center_fluxes(order, cs, config.widths))
         except NumericalFailureError as exc:
             raise _at_order(exc, order) from exc
     values = np.stack(columns, axis=-1)  # (c, width, order)
@@ -336,8 +303,9 @@ def generate_grid(config: DatasetConfig) -> list:
 
 
 def dataset_metadata(config: DatasetConfig, seed: int, version: str) -> dict:
-    """The sidecar's description of a grid; ``seed`` is recorded only, as
-    no value of the grid depends on it."""
+    """The sidecar's description of a grid of the unit slab (sigma_t = 1,
+    source 1); ``seed`` is recorded only, as no value of the grid depends
+    on it."""
     return {
         "c_min": config.c_min,
         "c_max": config.c_max,
@@ -345,8 +313,8 @@ def dataset_metadata(config: DatasetConfig, seed: int, version: str) -> dict:
         "c_spacing": "log",
         "widths_mfp": ",".join(f"{w:g}" for w in config.widths),
         "orders": ",".join(str(n) for n in config.orders),
-        "sigma_t": GRID_SIGMA_T,
-        "source": GRID_SOURCE,
+        "sigma_t": 1.0,
+        "source": 1.0,
         "seed": seed,
         "sequence_count": config.grid_size,
         "artifact_version": version,

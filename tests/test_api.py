@@ -14,8 +14,7 @@ PUBLIC_NAMES = {
     "accelerators", "benchmark", "errors", "evolution", "kernels",
     "quadrature", "sequences", "transport", "trees",
     # generate
-    "DatasetConfig", "SlabProblem", "generate_grid", "solve_sn",
-    "QuadratureSet", "gauss_legendre",
+    "DatasetConfig", "generate_grid", "solve_sn", "gauss_legendre",
     # datasets and the comparison matrix
     "Sequence", "load_dataset", "write_dataset", "ComparisonMatrix",
     "relative_errors",

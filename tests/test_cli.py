@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from txaccel import __version__
@@ -70,6 +71,14 @@ class TestGenerate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "3e73bef0b4d77edd6e44b8235476fb7ae1cf0e33de1f4c10ce06edc5b1c07e5f")
 
+    def test_golden_default_dataset(self, tmp_path):
+        # The default grid byte for byte; the reference check compares the
+        # same values only to 1e-12.
+        out = tmp_path / "dataset.csv"
+        assert run("generate", "--out", str(out), "--seed", "0") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "50707bea706aeb162591735f2236cacdc63c00f69ce036e8d9c5195ebb9c5a10")
+
     def test_row_count_of_default_shape(self, tiny_dataset):
         lines = tiny_dataset.read_text().splitlines()
         assert len(lines) == 1 + 8 * 13
@@ -77,6 +86,19 @@ class TestGenerate:
     def test_invalid_grid_is_usage_error(self, tmp_path):
         assert run("generate", "--out", str(tmp_path / "x.csv"),
                    "--c-count", "0", "--widths", "1") == 2
+
+    def test_nan_width_is_usage_error(self, tmp_path, capsys):
+        assert run("generate", "--out", str(tmp_path / "x.csv"),
+                   "--c-count", "2", "--widths", "1,nan") == 2
+        assert "widths must be positive" in capsys.readouterr().err
+
+    def test_infinite_width_is_the_infinite_medium(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("generate", "--out", str(out), "--c-count", "2",
+                   "--widths", "inf") == 0
+        for seq in load_dataset(out):
+            np.testing.assert_allclose(seq.values, 1.0 / (1.0 - seq.c),
+                                       rtol=1e-12)
 
     @pytest.mark.parametrize("step", ["0", "-4"])
     def test_step_below_one_is_usage_error(self, tmp_path, capsys, step):
@@ -171,6 +193,14 @@ class TestEvolve:
         assert run("evolve", "--data", str(data), "--pop", "4", "--gens", "1",
                    "--split", "0.9", "--out", str(out)) == 2
         assert "3 training and 0 validation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_generations_is_usage_error(self, tiny_dataset, tmp_path,
+                                                 capsys):
+        out = tmp_path / "r"
+        assert run("evolve", "--data", str(tiny_dataset), "--pop", "4",
+                   "--gens", "-3", "--out", str(out)) == 2
+        assert "max_generations must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_dataset_is_a_data_error(self, tmp_path):

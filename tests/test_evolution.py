@@ -8,7 +8,11 @@ import pytest
 from oracles import Window, aitken, eval_formula, is_invalid, scalar_scores
 from txaccel import evolution
 from txaccel.cli import main
-from txaccel.errors import InsufficientHistoryError, InvalidConfigError
+from txaccel.errors import (
+    InsufficientHistoryError,
+    InvalidArgumentError,
+    InvalidConfigError,
+)
 from txaccel.evolution import (
     P_DRAWS,
     EvolutionConfig,
@@ -580,7 +584,8 @@ class TestEvolve:
             cold.train_fitness, cold.history, cold.evals)
 
     def test_empty_training_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        # The fitness evaluator's comparison matrix rejects the empty set.
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
             evolve(EvolutionConfig(), [], [])
 
     def test_overlapping_sets_rejected(self):
@@ -641,3 +646,8 @@ class TestConfigValidation:
     def test_bad_target(self):
         with pytest.raises(InvalidConfigError):
             EvolutionConfig(target_fitness=0.0)
+
+    def test_negative_generations(self):
+        with pytest.raises(InvalidConfigError, match="max_generations"):
+            EvolutionConfig(max_generations=-1)
+        assert EvolutionConfig(max_generations=0).max_generations == 0

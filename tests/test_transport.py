@@ -7,11 +7,11 @@ import txaccel.transport as transport_module
 from oracles import mesh_refined_center_flux, pure_absorber_center_flux
 from txaccel.errors import (
     InvalidArgumentError,
+    InvalidConfigError,
     NumericalFailureError,
-    UnsupportedProblemError,
 )
 from txaccel.sequences import load_dataset
-from txaccel.transport import DatasetConfig, SlabProblem, generate_grid, solve_sn
+from txaccel.transport import DatasetConfig, generate_grid, solve_sn
 
 REFERENCE_DATASET = (Path(__file__).parents[1] / "perfbench" / "reference"
                      / "dataset.csv")
@@ -20,13 +20,11 @@ REFERENCE_DATASET = (Path(__file__).parents[1] / "perfbench" / "reference"
 class TestInfiniteMediumLimits:
     @pytest.mark.parametrize("c,expected", [(0.0, 1.0), (0.5, 2.0), (0.9, 10.0)])
     def test_thick_slab_reaches_balance_flux(self, c, expected):
-        problem = SlabProblem(scattering_ratio=c, width=200.0)
-        flux = solve_sn(problem, 16)
+        flux = solve_sn(c, 200.0, 16)
         assert abs(flux - expected) < 1e-6
 
     def test_pure_absorber_thick_slab(self):
-        flux = solve_sn(SlabProblem(scattering_ratio=0.0, width=200.0),
-                        8)
+        flux = solve_sn(0.0, 200.0, 8)
         assert abs(flux - 1.0) < 1e-10
 
 
@@ -34,8 +32,7 @@ class TestPureAbsorberClosedForm:
     @pytest.mark.parametrize("order", list(range(4, 53, 4)))
     def test_matches_per_ordinate_quadrature(self, order):
         for width in (1.0, 2.0, 10.0):
-            got = solve_sn(SlabProblem(scattering_ratio=0.0, width=width),
-                           order)
+            got = solve_sn(0.0, width, order)
             want = pure_absorber_center_flux(width, order)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -45,8 +42,7 @@ class TestPureAbsorberClosedForm:
         mu = np.array([0.3399810435848563, 0.8611363115940526])
         w = np.array([0.6521451548625461, 0.3478548451374538])
         expected = np.sum(2 * w * 0.5 * (1.0 - np.exp(-1.0 / mu)))
-        got = solve_sn(SlabProblem(scattering_ratio=0.0, width=2.0),
-                       4)
+        got = solve_sn(0.0, 2.0, 4)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -57,8 +53,7 @@ class TestOracleEquivalence:
         (0.2, 20.0, 12),
     ])
     def test_matches_mesh_refined_solution(self, c, width, order):
-        analytic = solve_sn(SlabProblem(scattering_ratio=c, width=width),
-                            order)
+        analytic = solve_sn(c, width, order)
         oracle, spread = mesh_refined_center_flux(c, width, order)
         assert spread < 1e-8 * abs(oracle)
         assert analytic == pytest.approx(oracle, rel=1e-7)
@@ -69,53 +64,34 @@ class TestPhysicalInvariants:
         for c in (0.1, 0.9, 0.999):
             problem_limit = 1.0 / (1.0 - c)
             for width in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
-                flux = solve_sn(SlabProblem(scattering_ratio=c, width=width),
-                                8)
+                flux = solve_sn(c, width, 8)
                 assert 0.0 < flux < problem_limit
-
-    @pytest.mark.parametrize("sigma_t,source,c,width,order", [
-        (2.5, 3.0, 0.5, 1.0, 4),
-        (0.3, 0.7, 0.99, 10.0, 16),
-        (10.0, 2.0, 0.001, 50.0, 52),
-        (1.7, 0.0, 0.9, 5.0, 8),
-    ])
-    def test_flux_scales_as_source_over_sigma_t(self, sigma_t, source, c,
-                                                width, order):
-        # Widths are in mean free paths, so in optical depth the problem
-        # is the unit one with its angular fluxes scaled by Q / sigma_t.
-        scaled = solve_sn(SlabProblem(sigma_t=sigma_t, scattering_ratio=c,
-                                      width=width, source=source), order)
-        unit = solve_sn(SlabProblem(scattering_ratio=c, width=width), order)
-        assert scaled == pytest.approx(source / sigma_t * unit, rel=1e-13,
-                                       abs=0.0)
 
     def test_flux_grows_with_width(self):
         for c in (0.0, 0.8):
-            fluxes = [solve_sn(SlabProblem(scattering_ratio=c, width=w),
-                               12)
+            fluxes = [solve_sn(c, w, 12)
                       for w in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)]
             assert all(b > a for a, b in zip(fluxes, fluxes[1:]))
 
 
 class TestErrors:
-    def test_unit_scattering_unsupported(self):
-        with pytest.raises(UnsupportedProblemError):
-            SlabProblem(scattering_ratio=1.0)
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            SlabProblem(scattering_ratio=-0.1)
-        with pytest.raises(InvalidArgumentError):
-            SlabProblem(width=0.0)
-        with pytest.raises(InvalidArgumentError):
-            SlabProblem(sigma_t=-1.0)
-        with pytest.raises(InvalidArgumentError):
-            SlabProblem(source=-1.0)
+    @pytest.mark.parametrize("c,width,match", [
+        (1.0, 1.0, "c must be in"),  # no bounded particular solution
+        (1.5, 1.0, "c must be in"),
+        (-0.1, 1.0, "c must be in"),
+        (float("nan"), 1.0, "c must be in"),
+        (0.5, 0.0, "width must be > 0"),
+        (0.5, -1.0, "width must be > 0"),
+        (0.5, float("nan"), "width must be > 0"),
+    ])
+    def test_bad_inputs_rejected(self, c, width, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            solve_sn(c, width, 4)
 
     @pytest.mark.parametrize("order", [2, 3, 5, 66, 0])
     def test_bad_orders_rejected(self, order):
         with pytest.raises(InvalidArgumentError):
-            solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), order)
+            solve_sn(0.5, 1.0, order)
 
     def test_numerical_failure_carries_diagnostics(self, monkeypatch):
         def nonpositive_eigh(stack):
@@ -125,7 +101,7 @@ class TestErrors:
         monkeypatch.setattr(transport_module.np.linalg, "eigh",
                             nonpositive_eigh)
         with pytest.raises(NumericalFailureError) as err:
-            solve_sn(SlabProblem(scattering_ratio=0.5, width=1.0), 4)
+            solve_sn(0.5, 1.0, 4)
         assert err.value.diagnostics["order"] == 4
         assert err.value.diagnostics["c"] == 0.5
         assert err.value.diagnostics["width"] == 1.0
@@ -139,9 +115,8 @@ class TestErrors:
     def test_rounding_bound_rejects_thin_near_critical_slab(self):
         # 2 psi_p = 1e6 cancels to a center flux near 0.1, so the boundary
         # solve's rounding (cond * eps * 2 psi_p) is about 5e-8 of it.
-        problem = SlabProblem(scattering_ratio=0.999999, width=0.05)
         with pytest.raises(NumericalFailureError, match="rounding") as err:
-            solve_sn(problem, 64)
+            solve_sn(0.999999, 0.05, 64)
         diagnostics = err.value.diagnostics
         assert 1e-8 < diagnostics["error_bound"] < 1e-7
         assert 1.0 < diagnostics["condition"] < 100.0
@@ -166,8 +141,8 @@ class TestErrors:
         # Each of those solves fails on its own too.
         for c, width, order in ((c0, 0.1, 64), (c0, 0.02, 4), (c1, 0.1, 4)):
             with pytest.raises(NumericalFailureError, match="rounding"):
-                solve_sn(SlabProblem(scattering_ratio=c, width=width), order)
-        solve_sn(SlabProblem(scattering_ratio=c0, width=0.1), 4)
+                solve_sn(c, width, order)
+        solve_sn(c0, 0.1, 4)
 
         # Both c values fail at (4, 0.1) here; the first c is reported.
         both = DatasetConfig(c_min=0.99999, c_max=c1, c_count=2,
@@ -198,8 +173,7 @@ def boundary_failures():
     plus one ill-conditioned system (c = 0.9 under a limit of 1.9)."""
     limit = transport_module.MAX_BOUNDARY_CONDITION
     cases = [
-        (limit, lambda: solve_sn(SlabProblem(scattering_ratio=0.999999,
-                                            width=0.05), 64)),
+        (limit, lambda: solve_sn(0.999999, 0.05, 64)),
         (limit, lambda: generate_grid(DatasetConfig(
             c_min=0.9999, c_max=0.999999, c_count=2, widths=(0.1, 0.02),
             orders=(4, 64)))),
@@ -244,7 +218,7 @@ class TestConditionScreen:
             assert np.array_equal(got.values, want.values), got.id
         # A stack the bound cannot clear goes to the SVD.
         with pytest.raises(NumericalFailureError):
-            solve_sn(SlabProblem(scattering_ratio=0.999999, width=0.05), 64)
+            solve_sn(0.999999, 0.05, 64)
         assert svd_calls == [(1, 32, 32)]
 
     def test_margin_of_two_sends_near_limit_stacks_to_svd(self, svd_calls,
@@ -303,8 +277,7 @@ class TestAccuracy:
         # nodes, weights 2 / ((1 - mu^2) P_32'(mu)^2), eigsy on the
         # symmetric matrix, lu_solve on the boundary system.
         exact = 15.12881379408760057926833
-        got = solve_sn(SlabProblem(scattering_ratio=0.999, width=5.0),
-                       32)
+        got = solve_sn(0.999, 5.0, 32)
         assert abs(got - exact) < 2e-13 * exact
 
     def test_default_grid_matches_stored_reference(self, dataset240):
@@ -345,8 +318,7 @@ class TestGenerateSequence:
         # over 3-term blocks plus a converged tail.  Values themselves
         # match the closed form to 1e-12 (see TestPureAbsorberClosedForm).
         # The grid needs c > 0, so the c = 0 sequence is solved per order.
-        problem = SlabProblem(scattering_ratio=0.0, width=2.0)
-        values = [solve_sn(problem, n) for n in range(4, 53, 4)]
+        values = [solve_sn(0.0, 2.0, n) for n in range(4, 53, 4)]
         diffs = np.abs(np.diff(values))
         blocks = [max(diffs[k:k + 3]) for k in range(0, 12, 3)]
         assert all(b < a for a, b in zip(blocks, blocks[1:]))
@@ -380,8 +352,7 @@ class TestDataset:
         assert [(s.c, s.width_mfp) for s in grid] == cases
         assert [s.id for s in grid] == [f"s{k:03d}" for k in range(len(cases))]
         for seq in grid:
-            problem = SlabProblem(scattering_ratio=seq.c, width=seq.width_mfp)
-            alone = [solve_sn(problem, n) for n in config.orders]
+            alone = [solve_sn(seq.c, seq.width_mfp, n) for n in config.orders]
             assert np.array_equal(seq.values, alone), seq.id
 
     @pytest.mark.parametrize("changes,match", [
@@ -390,7 +361,11 @@ class TestDataset:
         ({"orders": (4, 66)}, "even"),
         ({"orders": (8, 4)}, "strictly increasing"),
         ({"orders": (4, 4)}, "strictly increasing"),
+        ({"widths": (1.0, 0.0)}, "widths must be positive"),
+        ({"widths": (float("nan"),)}, "widths must be positive"),
     ])
     def test_config_rejects_bad_grid_inputs(self, changes, match):
-        with pytest.raises(InvalidArgumentError, match=match):
-            DatasetConfig(c_count=2, widths=(1.0,), **changes)
+        # An order fails as in solve_sn; any other field fails the config.
+        error = InvalidConfigError if "widths" in changes else InvalidArgumentError
+        with pytest.raises(error, match=match):
+            DatasetConfig(**{"c_count": 2, "widths": (1.0,), **changes})
