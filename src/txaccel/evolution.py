@@ -122,7 +122,9 @@ class FitnessEvaluator(ComparisonMatrix):
     (the win rule of ``evaluate`` without its invalid mask), all in the
     ``kernels.Workspace`` that the evaluator makes on its first call and
     keeps.  Its two groups of windows make each block (2, P, m): [prev,
-    curr] on the leading axis, as ``score`` takes them.  ``evals`` counts
+    curr] on the leading axis, as ``score`` takes them.  A block's wins
+    are the popcount of its win mask, kept with rows padded to whole
+    8-byte words whose pad columns stay False.  ``evals`` counts
     the p-values scored, memo hits included.  ``memo`` maps a program's
     opcode and constant bytes to its fits at P_SCAN and a dict of its
     refine fits by centre; ``memo_hits`` counts the tunings that found
@@ -134,6 +136,7 @@ class FitnessEvaluator(ComparisonMatrix):
         self.evals = 0
         self.block_rows = max(1, BLOCK_ELEMENTS // self.windows.shape[0])
         self._workspace = None
+        self._win_mask = None
         self.memo = {}
         self.memo_hits = 0
 
@@ -141,14 +144,17 @@ class FitnessEvaluator(ComparisonMatrix):
         """Fitness at ``p``: a float, or one per entry of a 1-D array."""
         if self._workspace is None:
             self._workspace = Workspace(self.windows, self.block_rows, groups=2)
+            self._win_mask = np.zeros(
+                (self.block_rows, -(-self.comparisons // 8) * 8), dtype=bool)
         ps = np.atleast_1d(p)
         wins = np.empty(ps.shape, dtype=np.intp)
         for start in range(0, ps.size, self.block_rows):
             block = ps[start:start + self.block_rows]
             accel = evaluate_program(program, self.windows, block, self._workspace)
-            mask = self._workspace.mask((block.size, self.comparisons))
-            wins[start:start + block.size] = np.count_nonzero(
-                self.score(accel, out=mask), axis=-1)
+            rows = self._win_mask[:block.size]
+            self.score(accel, out=rows[:, :self.comparisons])
+            wins[start:start + block.size] = np.bitwise_count(
+                rows.view(np.uint64)).sum(axis=-1)
         self.evals += ps.size
         fit = wins / self.comparisons
         return fit if np.ndim(p) else float(fit[0])

@@ -13,13 +13,28 @@ fitness splits its previous-position and current-position windows so.
 The sweep allocates nothing per opcode.  Window columns, p and
 constants enter as views that are only read; every other value is
 written into a ``Workspace``: one float buffer per stack slot, where an
-opcode's result goes into the buffer of the slot it lands in, and one
-bool buffer for the overflow and division-guard masks.  Results are
-clamped or guarded in place, and the rare branches (+-inf replacement,
-the protected-division guard) only run when a result needs them.  A
-caller that sweeps the same windows again and again (the fitness's
-p-scan) keeps one workspace, so the buffers are allocated once; without
-one, a call makes a throwaway workspace sized for its own p-vector.
+opcode's result goes into the buffer of the slot it lands in, and two
+bool buffers for the overflow and division-guard masks.  Results are
+clamped or guarded in place, and only by the passes that can change a
+value.  Beside each stack value the sweep carries a bound on the
+magnitude of its non-NaN entries: max|windows| for a window term, max|p|
+for p, |c| for a constant, and for an opcode the same operation on its
+operands' bounds, in floats: fl(A + B) for add and sub, fl(A B) for mul,
+fl(A A) for sq, the three steps of d2 on the window bound, and
+max(fl(A / DIV_GUARD), DIV_PROTECTED_VALUE) for div, whose unguarded
+divisors are at least DIV_GUARD in magnitude.  Rounding is monotone, so
+fl(A o B) bounds |fl(a o b)| whenever |a| <= A and |b| <= B: the bound
+never undershoots.  The +-inf replacement runs only when the bound is not
+<= the float max, and the product and square clamps only when it is not
+<= CLAMP; a pass that runs resets the bound to its limit.  Each test reads
+``not bound <= limit``, so a NaN or inf bound (a NaN or inf in p, a
+constant or the windows) keeps the pass.  On center fluxes (at most
+1 / (1 - c) = 1000) and the p-scan's |p| (at most about 1.8e6) no clamp
+runs in a 2-generation search.  The protected-division guard still looks
+at every divisor, with two comparisons into the bool buffers.  A caller
+that sweeps the same windows again and again (the fitness's p-scan) keeps
+one workspace, so the buffers are allocated once; without one, a call
+makes a throwaway workspace sized for its own p-vector.
 Each step is the same IEEE operation as in the scalar interpreter of
 ``tests/oracles.py``, so every row reproduces its ``eval_formula`` bit for
 bit at its p, NaN included: that recursive interpreter is the reference
@@ -35,6 +50,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .trees import CLAMP, DIV_GUARD, DIV_PROTECTED_VALUE, Formula, Node
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Opcodes.  0..3 push window columns (newest term first), the rest are
 # listed below.
@@ -98,7 +115,7 @@ def compile_formula(f: Formula) -> Program:
 
 def _clamp_overflow(v, workspace):
     """Pull +-inf in ``v`` back to +-CLAMP in place; NaN passes through."""
-    mask = workspace.mask(v.shape)
+    mask = workspace.mask(0, v.shape)
     if not np.isfinite(v, out=mask).all():
         np.copyto(v, CLAMP, where=np.equal(v, np.inf, out=mask))
         np.copyto(v, -CLAMP, where=np.equal(v, -np.inf, out=mask))
@@ -109,7 +126,7 @@ class Workspace:
     """The memory the sweep writes into, for one window matrix and up to
     ``rows`` p-values per call.
 
-    One flat float64 buffer per stack slot and one bool buffer, each made
+    One flat float64 buffer per stack slot and two bool buffers, each made
     on first use and each large enough for a (rows, n) block plus an (n,)
     or (rows, 1) value.  An opcode writes its result into a view of the
     buffer of the stack slot the result lands in, so no buffer is written
@@ -118,7 +135,8 @@ class Workspace:
     consecutive window rows each: a call's result is laid out as
     (groups, P, n / groups), so each run's values are one contiguous
     block of the result (a ``ComparisonMatrix`` uses two, its prev and
-    curr windows).
+    curr windows).  ``bound`` is max|windows|, the magnitude bound of
+    every window term (NaN when a term is NaN).
     """
 
     def __init__(self, windows, rows, groups=1):
@@ -128,12 +146,13 @@ class Workspace:
                 f"{n} window rows do not split into {groups} equal groups")
         self.windows = windows
         self.columns = np.ascontiguousarray(windows.T).reshape(4, groups, 1, -1)
+        self.bound = float(np.max(np.abs(windows), initial=0.0))
         self.rows = rows
         self.groups = groups
         self._head = rows * n
         self._size = self._head + max(rows, n, 1)
         self._slots = []
-        self._mask = None
+        self._masks = []
 
     def slot(self, i, shape):
         """A ``shape`` view of the float buffer of stack slot ``i``.
@@ -150,11 +169,11 @@ class Workspace:
         start = self._head if size <= self._size - self._head else 0
         return self._slots[i][start:start + size].reshape(shape)
 
-    def mask(self, shape):
-        """A ``shape`` view of the bool buffer."""
-        if self._mask is None:
-            self._mask = np.empty(self._size, dtype=bool)
-        return self._mask[:math.prod(shape)].reshape(shape)
+    def mask(self, i, shape):
+        """A ``shape`` view of bool buffer ``i`` (0 or 1)."""
+        while len(self._masks) <= i:
+            self._masks.append(np.empty(self._size, dtype=bool))
+        return self._masks[i][:math.prod(shape)].reshape(shape)
 
 
 def _eval_program(code, consts, p_column, workspace):
@@ -163,56 +182,95 @@ def _eval_program(code, consts, p_column, workspace):
     The window columns are the (groups, 1, n / groups) entries of
     ``workspace.columns`` and ``p_column`` holds the P p-values as a
     column, so a subtree without p stays one row long and a constant
-    stays one element long.  The result is a view of slot 0's buffer.
+    stays one element long.  Beside each stack value sits a bound on the
+    magnitude of its non-NaN entries, and a clamp runs only when that
+    bound does not show it idle.  The result is a view of slot 0's
+    buffer.
     """
     columns = workspace.columns
+    window_bound = workspace.bound
+    p_bound = float(np.max(np.abs(p_column), initial=0.0))
     stack = []
+    bounds = []
     for k in range(code.shape[0]):
         op = int(code[k])
         if op <= OP_SNM3:
             stack.append(columns[op])
+            bounds.append(window_bound)
         elif op == OP_P:
             stack.append(p_column)
+            bounds.append(p_bound)
         elif op == OP_CONST:
             stack.append(consts[k:k + 1])
+            bounds.append(abs(float(consts[k])))
         elif op == OP_D2:
             v = workspace.slot(len(stack), columns.shape[1:])
             np.multiply(2.0, columns[1], out=v)
             np.subtract(columns[0], v, out=v)
             np.add(v, columns[2], out=v)
-            stack.append(_clamp_overflow(v, workspace))
+            # The bound of each of the three steps, rounded as they are.
+            bound = window_bound + 2.0 * window_bound + window_bound
+            if not bound <= FLOAT_MAX:
+                _clamp_overflow(v, workspace)
+                bound = FLOAT_MAX
+            stack.append(v)
+            bounds.append(bound)
         elif op == OP_SQ:
             a = stack.pop()
+            a_bound = bounds.pop()
             v = workspace.slot(len(stack), a.shape)
             np.multiply(a, a, out=v)
-            stack.append(np.minimum(v, CLAMP, out=v))
+            bound = a_bound * a_bound
+            if not bound <= CLAMP:
+                np.minimum(v, CLAMP, out=v)
+                bound = CLAMP
+            stack.append(v)
+            bounds.append(bound)
         else:
             b = stack.pop()
             a = stack.pop()
+            b_bound = bounds.pop()
+            a_bound = bounds.pop()
             # The result lands in a's slot; b's slot and the ones above are free.
             v = workspace.slot(len(stack), np.broadcast(a, b).shape)
-            if op == OP_ADD:
-                _clamp_overflow(np.add(a, b, out=v), workspace)
-            elif op == OP_SUB:
-                _clamp_overflow(np.subtract(a, b, out=v), workspace)
-            elif op == OP_MUL:
+            if op == OP_MUL:
                 np.multiply(a, b, out=v)
-                np.clip(v, -CLAMP, CLAMP, out=v)
-            else:  # OP_DIV
-                divisor = workspace.slot(len(stack) + 2, b.shape)
-                guarded = np.less(np.abs(b, out=divisor), DIV_GUARD,
-                                  out=workspace.mask(b.shape))
-                if guarded.any():
-                    np.copyto(divisor, b)
-                    np.copyto(divisor, 1.0, where=guarded)
-                    np.divide(a, divisor, out=v)
-                    # Guarded entries are finite, so filling them before
-                    # the clamp gives what filling them after would.
-                    np.copyto(v, DIV_PROTECTED_VALUE, where=guarded)
+                bound = a_bound * b_bound
+                if not bound <= CLAMP:
+                    np.clip(v, -CLAMP, CLAMP, out=v)
+                    bound = CLAMP
+            else:
+                if op == OP_ADD:
+                    np.add(a, b, out=v)
+                    bound = a_bound + b_bound
+                elif op == OP_SUB:
+                    np.subtract(a, b, out=v)
+                    bound = a_bound + b_bound
+                else:  # OP_DIV
+                    # |b| < DIV_GUARD exactly when -DIV_GUARD < b < DIV_GUARD,
+                    # NaN and -0.0 included: two bool passes, no |b| pass.
+                    guarded = np.less(b, DIV_GUARD, out=workspace.mask(0, b.shape))
+                    np.logical_and(guarded, np.greater(
+                        b, -DIV_GUARD, out=workspace.mask(1, b.shape)), out=guarded)
+                    if guarded.any():
+                        divisor = workspace.slot(len(stack) + 2, b.shape)
+                        np.copyto(divisor, b)
+                        np.copyto(divisor, 1.0, where=guarded)
+                        np.divide(a, divisor, out=v)
+                        # Guarded entries are finite, so filling them before
+                        # the clamp gives what filling them after would.
+                        np.copyto(v, DIV_PROTECTED_VALUE, where=guarded)
+                    else:
+                        np.divide(a, b, out=v)
+                    # Unguarded |b| >= DIV_GUARD; a NaN bound stays NaN.
+                    bound = a_bound / DIV_GUARD
+                    if bound < DIV_PROTECTED_VALUE:
+                        bound = DIV_PROTECTED_VALUE
+                if not bound <= FLOAT_MAX:
                     _clamp_overflow(v, workspace)
-                else:
-                    _clamp_overflow(np.divide(a, b, out=v), workspace)
+                    bound = FLOAT_MAX
             stack.append(v)
+            bounds.append(bound)
     return stack[0]
 
 

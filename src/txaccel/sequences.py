@@ -164,8 +164,9 @@ def relative_errors(values, mask=None):
         np.abs(err, out=err)
         np.abs(curr, out=curr)
         np.divide(err, curr, out=err)
-    np.copyto(err, UNDEFINED_ERROR,
-              where=np.less(curr, TINY_DENOMINATOR, out=mask))
+    tiny = np.less(curr, TINY_DENOMINATOR, out=mask)
+    if tiny.any():
+        np.copyto(err, UNDEFINED_ERROR, where=tiny)
     return err
 
 

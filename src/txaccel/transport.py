@@ -65,10 +65,10 @@ _ROUNDING_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _check_order(order):
+def _check_order(order, error=InvalidArgumentError):
     if not isinstance(order, (int, np.integer)) or order % 2 != 0 or not (
             MIN_SN_ORDER <= order <= MAX_SN_ORDER):
-        raise InvalidArgumentError(
+        raise error(
             f"order must be even and in [{MIN_SN_ORDER}, {MAX_SN_ORDER}], "
             f"got {order}"
         )
@@ -245,7 +245,8 @@ class DatasetConfig:
     """Grid of (c, width) pairs of the unit slab swept over a fixed list
     of orders.
 
-    The c grid is log-spaced with both endpoints pinned exactly.
+    The c grid is log-spaced with both endpoints pinned exactly.  Any bad
+    field raises InvalidConfigError; a bad order with solve_sn's message.
     """
 
     c_min: float = 0.001
@@ -268,9 +269,9 @@ class DatasetConfig:
         if len(self.orders) == 0:
             raise InvalidConfigError("orders must be non-empty")
         for order in self.orders:
-            _check_order(order)
+            _check_order(order, InvalidConfigError)
         if any(b <= a for a, b in zip(self.orders, self.orders[1:])):
-            raise InvalidArgumentError("orders must be strictly increasing")
+            raise InvalidConfigError("orders must be strictly increasing")
 
     def c_values(self) -> np.ndarray:
         grid = np.geomspace(self.c_min, self.c_max, self.c_count)

@@ -234,6 +234,33 @@ class TestFitness:
         assert wins > 0 and tiny > 0
         assert evaluator.evals == count * len(self.BLOCK_PROGRAMS)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m", [15, 840])
+    def test_popcount_wins_equal_count_nonzero(self, m, dataset240):
+        # The win count is a popcount over rows padded to whole 8-byte
+        # words; m = 15 leaves one pad column, which must stay False
+        # through kernel calls that ran the division guard.
+        if m == 15:
+            line = Sequence(id="line", c=0.5, width_mfp=1.0,
+                            orders=tuple(range(4, 53, 4)),
+                            values=1.0 + 0.1 * np.arange(13.0))
+            sequences = geometric_training_set(2) + [line]
+        else:
+            sequences, _ = split_dataset(dataset240, 0.70, 7)
+        evaluator = FitnessEvaluator(sequences, ORDERS)
+        assert evaluator.comparisons == m
+        ps = np.resize(self.P_POOL, 2 * evaluator.block_rows + 5)
+        guarded = "(formula :p 0.5 :num (add Sn p) :den (sub Snm1 Snm1))"
+        for text in self.BLOCK_PROGRAMS + (guarded,):
+            program = compile_formula(parse(text))
+            accel = evaluate_program(program, evaluator.windows, ps)
+            halves = np.stack((accel[:, :m], accel[:, m:]))
+            expected = np.count_nonzero(evaluator.score(halves), axis=-1)
+            fits = evaluator.fitness_program(program, ps)
+            assert np.array_equal(fits, expected / m)
+            pad = evaluator._win_mask[:, m:]
+            assert pad.shape[1] == -m % 8 and not pad.any()
+
     @staticmethod
     def last_axis_errors(values):
         """Relative errors of [prev; curr] halves of the last axis: the

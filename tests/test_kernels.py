@@ -5,11 +5,13 @@ import pytest
 
 from txaccel import kernels
 from txaccel.errors import InvalidArgumentError
+from txaccel.evolution import EvolutionConfig, evolve, split_dataset
 from oracles import Window, eval_formula, random_formula
 from txaccel.kernels import compile_formula, evaluate_program
 from txaccel.trees import (
     CLAMP,
     DIV_GUARD,
+    DIV_PROTECTED_VALUE,
     Formula,
     Node,
     parse,
@@ -102,6 +104,113 @@ def test_extreme_windows_match_scalar_reference_bitwise():
         f = random_formula(4, "grow" if trial % 2 else "full", rng,
                            p=float(rng.choice(EXTREME_PS)))
         assert_bitwise_rows(f, extreme_windows(rng, 24), EXTREME_PS)
+
+
+def signed_uniform(rng, shape, lo, hi):
+    return rng.uniform(lo, hi, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+def edge_windows(rng, n, lo, hi, newest=None):
+    """Windows with terms of magnitude in [lo, hi), random signs; the
+    newest term in ``newest`` = (lo, hi) instead when given."""
+    windows = signed_uniform(rng, (n, 4), lo, hi)
+    if newest is not None:
+        windows[:, 0] = signed_uniform(rng, n, *newest)
+    return windows
+
+
+# Each case sets the windows so that a pass's bound sits past its limit
+# and the results fall on both sides of it: products and squares of terms
+# near 1e75 either side of CLAMP, sums of terms near 0.9e308 and second
+# differences of terms near 0.5e308 either side of the float max, and
+# quotients of terms near 1e298 by divisors just above DIV_GUARD the same.
+# A bound that undershoots (add's as max(A, B), say) skips a pass these
+# need; a result in the denominator shows the skip, as 1 / inf = 0 where
+# 1 / CLAMP is not.
+BOUND_EDGE_CASES = {
+    "products": ((0.5e75, 2e75), None, lambda w: w[:, 0] * w[:, 1], CLAMP, (
+        "(formula :p 1.5 :num (mul Sn Snm1) :den 1.0)",
+        "(formula :p 1.5 :num 1.0 :den (sq Snm2))",
+        "(formula :p 1.5 :num 1.0 :den (mul (sub Sn Snm1) Snm2))",
+    )),
+    "sums": ((0.8e308, 1e308), None, lambda w: w[:, 0] + w[:, 1],
+             kernels.FLOAT_MAX, (
+        "(formula :p 1.5 :num (add Sn Snm1) :den 1.0)",
+        "(formula :p 1.5 :num 1.0 :den (add Sn Snm1))",
+        "(formula :p 1.5 :num 1.0 :den (sub Snm2 Snm3))",
+    )),
+    "second differences": ((0.4e308, 0.6e308), None,
+                           lambda w: w[:, 0] - 2.0 * w[:, 1] + w[:, 2],
+                           kernels.FLOAT_MAX, (
+        "(formula :p 1.5 :num (d2) :den 1.0)",
+        "(formula :p 1.5 :num 1.0 :den (d2))",
+    )),
+    "quotients": ((1e-10, 3e-10), (0.5e298, 3e298), lambda w: w[:, 0] / w[:, 1],
+                  kernels.FLOAT_MAX, (
+        "(formula :p 1.5 :num (div Sn Snm1) :den 1.0)",
+        "(formula :p 1.5 :num 1.0 :den (div Sn Snm1))",
+        "(formula :p 1.5 :num Sn :den Snm2)",
+    )),
+    # A / DIV_GUARD < 1e6 here, yet a guarded entry reads 1e6, which five
+    # squarings take past CLAMP.
+    "protected quotients": ((0.5e-10, 2e-10), (1e-12, 1e-11),
+                            lambda w: np.where(np.abs(w[:, 1]) < DIV_GUARD,
+                                               DIV_PROTECTED_VALUE,
+                                               w[:, 0] / w[:, 1]) ** 32, CLAMP, (
+        "(formula :p 1.5 :num (sq (sq (sq (sq (sq (div Sn Snm1)))))) :den 1.0)",
+    )),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(BOUND_EDGE_CASES))
+def test_passes_at_the_edge_of_their_bounds(case):
+    rng = np.random.default_rng(50)
+    terms, newest, raw, limit, texts = BOUND_EDGE_CASES[case]
+    windows = edge_windows(rng, 200, *terms, newest=newest)
+    with np.errstate(over="ignore"):
+        magnitudes = np.abs(raw(windows))
+    assert (magnitudes > limit).any() and (magnitudes < limit).any()
+    for text in texts:
+        assert_bitwise_rows(parse(text), windows, np.array([1.5, -2.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_bounds_keep_every_pass():
+    # A NaN in p or in the windows makes a NaN bound, which must not read
+    # as small: the rows without NaN still need their clamps.
+    windows = edge_windows(np.random.default_rng(51), 20, 0.8e308, 1e308)
+    windows[3, 1] = np.nan
+    ps = np.array([np.nan, 1e100, -1.7e308, 1.5])
+    for text in ("(formula :p 1.5 :num (sq p) :den 1.0)",
+                 "(formula :p 1.5 :num (mul p p) :den 1e-30)",
+                 "(formula :p 1.5 :num (add p p) :den 1.0)",
+                 "(formula :p 1.5 :num (add Sn Snm1) :den (sub p Snm2))",
+                 "(formula :p 1.5 :num (div Snm1 1.5e-10) :den (d2))"):
+        assert_bitwise_rows(parse(text), windows, ps)
+        assert_bitwise_rows(parse(text), windows[:3], ps)
+
+
+def test_no_clamp_runs_on_center_flux_windows(dataset240, monkeypatch):
+    # Center fluxes are at most 1 / (1 - c) = 1000 and the p-scan's |p| at
+    # most about 1.8e6, so on a 2-generation search over the default grid
+    # every bound shows the overflow and product clamps idle.
+    calls = {"overflow": 0, "clip": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_clamp_overflow",
+                        counted("overflow", kernels._clamp_overflow))
+    monkeypatch.setattr(np, "clip", counted("clip", np.clip))
+    train, validation = split_dataset(dataset240, 0.70, 1)
+    config = EvolutionConfig(max_generations=2, target_fitness=1.0, rng_seed=1)
+    report = evolve(config, train, validation)
+    assert report.generations == 2 and report.evals > 10000
+    assert calls == {"overflow": 0, "clip": 0}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

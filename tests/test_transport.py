@@ -309,7 +309,7 @@ class TestGenerateSequence:
         assert len(seq.values) == 1
 
     def test_orders_must_increase(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidConfigError):
             one_problem(c=0.3, width=2.0, orders=(4, 4, 8))
 
     def test_pure_absorber_sequence_converges(self):
@@ -365,7 +365,6 @@ class TestDataset:
         ({"widths": (float("nan"),)}, "widths must be positive"),
     ])
     def test_config_rejects_bad_grid_inputs(self, changes, match):
-        # An order fails as in solve_sn; any other field fails the config.
-        error = InvalidConfigError if "widths" in changes else InvalidArgumentError
-        with pytest.raises(error, match=match):
+        # Every bad field fails the config, an order with solve_sn's message.
+        with pytest.raises(InvalidConfigError, match=match):
             DatasetConfig(**{"c_count": 2, "widths": (1.0,), **changes})
