@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ class TestGenerate:
                    "--c-count", "2", "--widths", "1") == 4
         err = capsys.readouterr().err
         assert "condition=" in err and "width=" in err
+
+    def test_thin_near_critical_slab_prints_the_readme_example(
+            self, tmp_path, capsys):
+        # README's example of exit code 4, byte for byte: the SVD decides
+        # the check and the reported condition number.
+        assert run("generate", "--out", str(tmp_path / "x.csv"),
+                   "--c-min", "0.999999", "--c-max", "0.999999",
+                   "--c-count", "1", "--widths", "0.05") == 4
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("--c-count 1 --widths 0.05` prints\n\n```\n",
+                               1)[1].split("```", 1)[0]
+        assert capsys.readouterr().err == example
 
     def test_golden_sidecar(self, tmp_path):
         # Every key in order: the grid is the unit problem on a log c grid,

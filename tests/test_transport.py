@@ -156,7 +156,7 @@ class TestErrors:
         # At order 4 and width 10 the boundary condition number is about
         # 1.81 for c = 0.5 and 2.01 for c = 0.9.  The first c fails only
         # the rounding bound, the second only the condition limit.  The
-        # Frobenius bound there is 2.36, so reporting it instead of the
+        # closed-form bound there is 3.43, so reporting it instead of the
         # SVD value fails the last check.
         monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 1.9)
         monkeypatch.setattr(transport_module, "_ROUNDING_TOL", 0.0)
@@ -207,13 +207,54 @@ def svd_calls(monkeypatch):
     return calls
 
 
+def screened_stacks(order, cs, widths):
+    """nu, the eigenvectors, and each width's boundary stack and condition
+    bound, of one `_center_fluxes` call with both checks switched off, so
+    that the screen clears every stack."""
+    eigh, solve = np.linalg.eigh, np.linalg.solve
+    condition_bound = transport_module._condition_bound
+    modes, stacks, bounds = [], [], []
+
+    def recording_eigh(matrix):
+        eta, vectors = eigh(matrix)
+        modes.append((np.sqrt(eta), vectors.copy()))
+        return eta, vectors
+
+    def recording_solve(a, b):
+        stacks.append(a.copy())
+        return solve(a, b)
+
+    def recording_bound(*args):
+        bound = condition_bound(*args)
+        bounds.append(bound.copy())
+        return bound
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", np.inf)
+        patch.setattr(transport_module, "_ROUNDING_TOL", np.inf)
+        patch.setattr(transport_module.np.linalg, "eigh", recording_eigh)
+        patch.setattr(transport_module.np.linalg, "solve", recording_solve)
+        patch.setattr(transport_module, "_condition_bound", recording_bound)
+        transport_module._center_fluxes(order, cs, widths)
+    [(nu, vectors)] = modes
+    return nu, vectors, stacks, bounds
+
+
+SWEEP_CS = np.geomspace(1e-6, 0.99999, 25)
+SWEEP_WIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0, np.inf)
+
+
 class TestConditionScreen:
-    """The Frobenius bound clears boundary stacks without an SVD; the SVD
+    """The closed-form bound clears boundary stacks without an SVD; the SVD
     decides whatever it does not clear."""
 
-    def test_default_grid_runs_no_svd(self, svd_calls, dataset240):
+    def test_default_grid_runs_no_svd(self, svd_calls, monkeypatch,
+                                      dataset240):
+        inv_calls = []
+        monkeypatch.setattr(transport_module.np.linalg, "inv",
+                            lambda *args: inv_calls.append(args))
         grid = generate_grid(DatasetConfig())
-        assert svd_calls == []
+        assert svd_calls == [] and inv_calls == []
         for got, want in zip(grid, dataset240):
             assert np.array_equal(got.values, want.values), got.id
         # A stack the bound cannot clear goes to the SVD.
@@ -221,53 +262,74 @@ class TestConditionScreen:
             solve_sn(0.999999, 0.05, 64)
         assert svd_calls == [(1, 32, 32)]
 
-    def test_margin_of_two_sends_near_limit_stacks_to_svd(self, svd_calls,
-                                                          monkeypatch):
-        # At order 4 and width 10, cond_2 is 1.81 and 2.01 and the
-        # Frobenius bound 2.36 and 2.50: under a limit of 3 the bound
-        # passes, twice the bound does not.
-        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 3.0)
+    def test_margin_sends_near_limit_stacks_to_svd(self, svd_calls,
+                                                   monkeypatch):
+        # At order 4 and width 10, cond_2 is 1.81 and 2.01 and the bound
+        # 3.43 and 4.09: under a limit of 4.5 the bound passes, the bound
+        # times the margin of 1.25 (5.11 for c = 0.9) does not.
+        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 4.5)
         generate_grid(DatasetConfig(c_min=0.5, c_max=0.9, c_count=2,
                                     widths=(10.0,), orders=(4,)))
         assert svd_calls == [(2, 2, 2)]
 
-    def test_singular_inverse_falls_back_to_svd(self, monkeypatch, dataset240):
+    def test_svd_on_every_stack_changes_no_result(self, svd_calls,
+                                                  monkeypatch, dataset240):
         expected = boundary_failures()
-
-        def singular(stack):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(transport_module.np.linalg, "inv", singular)
+        svd_calls.clear()
+        monkeypatch.setattr(transport_module, "_condition_bound",
+                            lambda mu, w, nu, width, decay:
+                            np.full(len(nu), np.inf))
         grid = generate_grid(DatasetConfig())
+        assert len(svd_calls) == 13 * 6
         for got, want in zip(grid, dataset240):
             assert np.array_equal(got.values, want.values), got.id
         assert boundary_failures() == expected
 
-    @pytest.mark.parametrize("n", range(2, 27))
-    def test_frobenius_bound_exceeds_2_norm_condition(self, n):
-        rng = np.random.default_rng(n)
-        # Near-singular: one singular value 10^-k below the rest, or a
-        # spectrum graded down to 10^-k, for k up to 12; then random
-        # singular values in [0.5, 1] and Gaussian matrices.
-        k = np.arange(13.0)
-        one_small = np.ones((13, n))
-        one_small[:, -1] = 10.0 ** -k
-        graded = 10.0 ** -np.outer(k[1:], np.linspace(0.0, 1.0, n))
-        spectra = np.concatenate([one_small, graded,
-                                  rng.uniform(0.5, 1.0, (8, n))])
-        left, _ = np.linalg.qr(rng.standard_normal((len(spectra), n, n)))
-        right, _ = np.linalg.qr(rng.standard_normal((len(spectra), n, n)))
-        stack = np.concatenate([left @ (spectra[:, :, None] * right),
-                                rng.standard_normal((16, n, n))])
-        cond_f = transport_module._frobenius_condition(stack)
-        cond_2 = np.linalg.cond(stack)
-        # Exact arithmetic gives cond_F > cond_2, but by a relative margin
-        # that can be as small as 1 / cond_2^2 (at n = 2), while each
-        # computed value is off by a relative error of order n eps cond_2.
-        eps = np.finfo(float).eps
-        assert np.all(cond_f >= cond_2 * (1.0 - n * eps * cond_2))
-        # The screen's margin of 2 covers that rounding.
-        assert np.all(2.0 * cond_f >= cond_2)
+    def test_infinite_width_is_the_infinite_medium_at_every_order(
+            self, svd_calls):
+        # No mode reaches the center (e = 0, tanh = 1), so the center flux
+        # is the particular flux 2 psi_p = 1 / (1 - c) exactly.
+        orders = tuple(range(4, 65, 2))
+        [seq] = generate_grid(one_problem(c=0.999, width=np.inf,
+                                          orders=orders))
+        assert np.all(seq.values == 1.0 / (1.0 - 0.999))
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_bound_exceeds_2_norm_condition(self, n):
+        # n x n boundary matrices, order 2n.  The largest cond_2 / bound
+        # over the sweep and every n is 0.53.
+        _, _, stacks, bounds = screened_stacks(2 * n, SWEEP_CS, SWEEP_WIDTHS)
+        for width, stack, bound in zip(SWEEP_WIDTHS, stacks, bounds):
+            assert np.all(np.linalg.cond(stack) <= bound), width
+
+    @pytest.mark.parametrize("order", [4, 16, 52, 64])
+    def test_bound_is_weyls_on_the_factored_boundary_matrix(self, order):
+        # B = 1/2 D^-1 Y (G + H) (I + E): D = diag(sqrt w), Y the
+        # eigenvectors, G = Y^T M^-1 Y, H = diag(tanh(L / 2 nu) / nu) and
+        # E = diag(exp(-L / nu)).  Weyl's inequality bounds the spectrum
+        # of G + H by those of G (from eigvalsh here) and H.
+        nodes, weights = transport_module.gauss_legendre(order)
+        mu, w = nodes[order // 2:], weights[order // 2:]
+        nu, y, stacks, bounds = screened_stacks(order, SWEEP_CS,
+                                                SWEEP_WIDTHS)
+        g = np.swapaxes(y, 1, 2) @ (y / mu[:, None])
+        g_spectrum = np.linalg.eigvalsh(g)
+        for width, stack, bound in zip(SWEEP_WIDTHS, stacks, bounds):
+            h = np.tanh(0.5 * width / nu) / nu
+            one_plus_e = 1.0 + np.exp(-width / nu)
+            factored = 0.5 / np.sqrt(w)[:, None] * (
+                y @ (g + h[:, :, None] * np.eye(len(mu)))
+                * one_plus_e[:, None, :])
+            gap = (np.linalg.norm(factored - stack, axis=(1, 2))
+                   / np.linalg.norm(stack, axis=(1, 2)))
+            assert gap.max() < 1e-13, width
+            weyl = (np.sqrt(w.max() / w.min())
+                    * (g_spectrum.max(axis=1) + h.max(axis=1))
+                    / (g_spectrum.min(axis=1) + h.min(axis=1))
+                    * one_plus_e.max(axis=1) / one_plus_e.min(axis=1))
+            np.testing.assert_allclose(bound, weyl, rtol=1e-10,
+                                       err_msg=str(width))
 
 
 class TestAccuracy:
