@@ -296,9 +296,11 @@ class TestConditionScreen:
         assert svd_calls == []
 
     @pytest.mark.parametrize("n", range(2, 33))
-    def test_bound_exceeds_2_norm_condition(self, n):
+    def test_frobenius_bound_exceeds_2_norm_condition(self, n):
         # n x n boundary matrices, order 2n.  The largest cond_2 / bound
-        # over the sweep and every n is 0.53.
+        # over the sweep and every n is 0.53.  The name is that of the
+        # Frobenius bound the closed form replaced; the cases n = 2..26
+        # keep their ids.
         _, _, stacks, bounds = screened_stacks(2 * n, SWEEP_CS, SWEEP_WIDTHS)
         for width, stack, bound in zip(SWEEP_WIDTHS, stacks, bounds):
             assert np.all(np.linalg.cond(stack) <= bound), width
