@@ -73,10 +73,23 @@ class _StageTimer:
         self._last = now
 
 
-def _write_manifest(directory, command, settings, stages):
-    lines = [f"command={command}", f"artifact_version={__version__}"]
+def _setting_text(value):
+    if isinstance(value, list):
+        return ",".join(f"{v:g}" if isinstance(v, float) else str(v)
+                        for v in value)
+    return str(value)
+
+
+def _write_manifest(directory, args, stages, **derived):
+    """Write every flag of ``args`` and every ``derived`` value (which
+    replaces a flag of its name), then the stage timings, to
+    ``directory/manifest.txt``."""
+    settings = {key: value for key, value in vars(args).items()
+                if key not in ("command", "func")}
+    settings.update(derived)
+    lines = [f"command={args.command}", f"artifact_version={__version__}"]
     for key in sorted(settings):
-        lines.append(f"{key}={settings[key]}")
+        lines.append(f"{key}={_setting_text(settings[key])}")
     for stage, seconds in stages.seconds.items():
         lines.append(f"{stage}={seconds:.3f}")
     lines.append(f"duration_s={time.perf_counter() - stages.started:.3f}")
@@ -99,12 +112,7 @@ def cmd_generate(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(out, sequences, dataset_metadata(config, args.seed, __version__))
     stages.lap("write_s")
-    _write_manifest(out.parent, "generate", {
-        "out": out, "seed": args.seed, "c_min": args.c_min, "c_max": args.c_max,
-        "c_count": args.c_count, "widths": ",".join(f"{w:g}" for w in args.widths),
-        "n_min": args.n_min, "n_max": args.n_max, "n_step": args.n_step,
-        "sequences": len(sequences),
-    }, stages)
+    _write_manifest(out.parent, args, stages, sequences=len(sequences))
     print(f"wrote {len(sequences)} sequences x {len(config.orders)} orders "
           f"to {out}")
     return EXIT_OK
@@ -132,15 +140,8 @@ def cmd_evolve(args):
     out = Path(args.out)
     write_report(report, out)
     stages.lap("write_s")
-    _write_manifest(out, "evolve", {
-        "data": args.data, "out": out, "seed": args.seed, "pop": args.pop,
-        "gens": args.gens, "cx": args.cx, "mut": args.mut,
-        "elite": args.elite, "tourn": args.tourn, "depth": args.depth,
-        "target": args.target, "split": args.split,
-        "positions": ",".join(str(n) for n in args.positions),
-        "train_sequences": len(training),
-        "validation_sequences": len(validation),
-    }, stages)
+    _write_manifest(out, args, stages, train_sequences=len(training),
+                    validation_sequences=len(validation))
     print(f"best formula after {report.generations} generations: "
           f"train fitness {report.train_fitness:.4f}, "
           f"validation fitness {report.validation_fitness:.4f}")
@@ -179,11 +180,7 @@ def cmd_evaluate(args):
     summary = compare_to_reference(report)
     (out / "compare.txt").write_text(summary)
     stages.lap("write_s")
-    _write_manifest(out, "evaluate", {
-        "data": args.data, "out": out, "formula": args.formula or "builtin",
-        "methods": args.methods, "bins": args.bins,
-        "positions": ",".join(str(n) for n in args.positions),
-    }, stages)
+    _write_manifest(out, args, stages, formula=args.formula or "builtin")
     print(summary, end="")
     print(f"outputs in {out}")
     return EXIT_OK

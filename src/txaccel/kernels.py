@@ -1,7 +1,8 @@
 """Batch evaluation of candidate formulas over window matrices.
 
 A formula is compiled once into a flat postfix program (an opcode array
-plus aligned constants) and then evaluated over an (n_windows, 4) matrix
+plus aligned constants; a node's opcode is its kind's index in
+``trees.KINDS``) and then evaluated over an (n_windows, 4) matrix
 in one call: a numpy sweep, one opcode at a time over the whole batch.
 The learnable parameter p may be one float or a vector of P values; a
 vector broadcasts against the window columns, so one call scores every
@@ -49,29 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .trees import CLAMP, DIV_GUARD, DIV_PROTECTED_VALUE, Formula, Node
+from .trees import CLAMP, DIV_GUARD, DIV_PROTECTED_VALUE, KINDS, Formula, Node
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
-# Opcodes.  0..3 push window columns (newest term first), the rest are
-# listed below.
-OP_SN = 0
-OP_SNM1 = 1
-OP_SNM2 = 2
-OP_SNM3 = 3
-OP_P = 4
-OP_CONST = 5
-OP_D2 = 6
-OP_ADD = 7
-OP_SUB = 8
-OP_MUL = 9
-OP_DIV = 10
-OP_SQ = 11
-
-_TERMINAL_OPS = {"Sn": OP_SN, "Snm1": OP_SNM1, "Snm2": OP_SNM2, "Snm3": OP_SNM3,
-                 "p": OP_P}
-_FUNCTION_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV,
-                 "sq": OP_SQ}
+# Opcodes are positions in KINDS, so 0..3 push the window columns (newest
+# term first).
+(OP_SN, OP_SNM1, OP_SNM2, OP_SNM3, OP_P, OP_CONST,
+ OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_SQ, OP_D2) = range(len(KINDS))
+_OPCODES = {kind: op for op, kind in enumerate(KINDS)}
 
 
 @dataclass(frozen=True)
@@ -83,32 +70,17 @@ class Program:
 
 
 def _compile_node(node: Node, code, consts):
-    op = _TERMINAL_OPS.get(node.kind)
-    if op is not None:
-        code.append(op)
-        consts.append(0.0)
-        return
-    if node.kind == "const":
-        code.append(OP_CONST)
-        consts.append(node.value)
-        return
-    if node.kind == "d2":
-        code.append(OP_D2)
-        consts.append(0.0)
-        return
     for child in node.children:
         _compile_node(child, code, consts)
-    code.append(_FUNCTION_OPS[node.kind])
-    consts.append(0.0)
+    code.append(_OPCODES[node.kind])
+    consts.append(node.value if node.kind == "const" else 0.0)
 
 
 def compile_formula(f: Formula) -> Program:
     code: list = []
     consts: list = []
-    _compile_node(f.numerator, code, consts)
-    _compile_node(f.denominator, code, consts)
-    code.append(OP_DIV)
-    consts.append(0.0)
+    _compile_node(Node("div", children=(f.numerator, f.denominator)),
+                  code, consts)
     return Program(code=np.asarray(code, dtype=np.int64),
                    consts=np.asarray(consts, dtype=np.float64))
 

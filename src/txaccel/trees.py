@@ -4,7 +4,9 @@ generation, crossover, mutation, and a stable text format.
 Terminals are the four window values (Sn, Snm1, Snm2, Snm3), the learnable
 scalar p, and ephemeral constants.  Functions are add, sub, mul,
 protected div, square, and the nullary second difference d2, which reads
-Sn - 2*Snm1 + Snm2 straight off the window.
+Sn - 2*Snm1 + Snm2 straight off the window.  ``KINDS`` is the language's
+one vocabulary, with ``ARITY`` beside it: generation, the walkers, the
+text format and the opcodes of ``kernels`` all read these two tables.
 
 Closure: protected division returns 1e6 whenever the denominator magnitude
 drops below 1e-10, products and squares are clamped at +-1e150, and any
@@ -20,6 +22,7 @@ limit they are given; trees built by hand may be deeper, evaluation does
 not care.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, InvalidArgumentError
@@ -31,17 +34,16 @@ DIV_PROTECTED_VALUE = 1e6
 #: Magnitude clamp applied to products, squares, and overflowed results.
 CLAMP = 1e150
 
+#: Every node kind, in an order others rely on: a kind's position in KINDS
+#: is its opcode in ``kernels`` (the window terms are 0..3), and
+#: ``random_tree`` draws kinds by position, so a reordering changes every
+#: seeded search.
 TERMINAL_KINDS = ("Sn", "Snm1", "Snm2", "Snm3", "p", "const")
-BINARY_KINDS = ("add", "sub", "mul", "div")
-UNARY_KINDS = ("sq",)
-SPECIAL_KINDS = ("d2",)  # nullary window operator
-FUNCTION_KINDS = BINARY_KINDS + UNARY_KINDS + SPECIAL_KINDS
+FUNCTION_KINDS = ("add", "sub", "mul", "div", "sq", "d2")
+KINDS = TERMINAL_KINDS + FUNCTION_KINDS
 
-ARITY = {k: 0 for k in TERMINAL_KINDS + SPECIAL_KINDS}
-ARITY.update({k: 2 for k in BINARY_KINDS})
-ARITY.update({k: 1 for k in UNARY_KINDS})
-
-_WINDOW_INDEX = {"Sn": 0, "Snm1": 1, "Snm2": 2, "Snm3": 3}
+ARITY = dict.fromkeys(KINDS, 0) | {"add": 2, "sub": 2, "mul": 2, "div": 2,
+                                  "sq": 1}
 
 
 @dataclass(frozen=True)
@@ -95,41 +97,27 @@ def _iter_preorder(node: Node, d: int = 1):
         yield from _iter_preorder(ch, d + 1)
 
 
-def subtree_at(node: Node, index: int) -> Node:
-    for i, (sub, _) in enumerate(_iter_preorder(node)):
+def _node_at(tree: Node, index: int):
+    """The subtree at preorder ``index`` and its depth (the root's is 1)."""
+    for i, found in enumerate(_iter_preorder(tree)):
         if i == index:
-            return sub
+            return found
     raise InvalidArgumentError(f"node index {index} out of range")
 
 
-def depth_at(node: Node, index: int) -> int:
-    """Depth of the node at preorder ``index`` (root has depth 1)."""
-    for i, (_, d) in enumerate(_iter_preorder(node)):
-        if i == index:
-            return d
+def replace_at(tree: Node, index: int, replacement: Node) -> Node:
+    """Rebuild ``tree`` with the preorder-``index`` subtree swapped out."""
+    if index == 0:
+        return replacement
+    start = 1  # preorder index of the current child
+    for i, child in enumerate(tree.children):
+        end = start + node_count(child)
+        if start <= index < end:
+            children = list(tree.children)
+            children[i] = replace_at(child, index - start, replacement)
+            return Node(tree.kind, tree.value, tuple(children))
+        start = end
     raise InvalidArgumentError(f"node index {index} out of range")
-
-
-def replace_at(node: Node, index: int, replacement: Node) -> Node:
-    """Rebuild ``node`` with the preorder-``index`` subtree swapped out."""
-
-    def rebuild(current, counter):
-        if counter[0] == index:
-            counter[0] += 1
-            # Skip the indices covered by the replaced subtree.
-            counter[0] += node_count(current) - 1
-            return replacement
-        counter[0] += 1
-        if not current.children:
-            return current
-        children = tuple(rebuild(ch, counter) for ch in current.children)
-        return Node(current.kind, current.value, children)
-
-    counter = [0]
-    result = rebuild(node, counter)
-    if counter[0] <= index:
-        raise InvalidArgumentError(f"node index {index} out of range")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +148,7 @@ def random_tree(max_depth: int, method: str, rng) -> Node:
     if max_depth == 1:
         return random_terminal(rng)
     if method == "full":
-        kinds = BINARY_KINDS + UNARY_KINDS
+        kinds = [k for k in FUNCTION_KINDS if ARITY[k]]
         kind = kinds[rng.integers(len(kinds))]
     else:
         n_terminals = len(TERMINAL_KINDS)
@@ -168,8 +156,6 @@ def random_tree(max_depth: int, method: str, rng) -> Node:
         if pick < n_terminals:
             return random_terminal(rng)
         kind = FUNCTION_KINDS[pick - n_terminals]
-        if kind == "d2":
-            return Node("d2")
     children = tuple(
         random_tree(max_depth - 1, method, rng)
         for _ in range(ARITY[kind])
@@ -188,8 +174,8 @@ def crossover(a: Formula, b: Formula, rng, max_depth: int = 4):
     tree_b = getattr(b, side)
     idx_a = int(rng.integers(node_count(tree_a)))
     idx_b = int(rng.integers(node_count(tree_b)))
-    sub_a = subtree_at(tree_a, idx_a)
-    sub_b = subtree_at(tree_b, idx_b)
+    sub_a, _ = _node_at(tree_a, idx_a)
+    sub_b, _ = _node_at(tree_b, idx_b)
 
     def grafted(tree, idx, donor):
         child = replace_at(tree, idx, donor)
@@ -212,7 +198,7 @@ def mutate(f: Formula, rng, max_depth: int = 4) -> Formula:
     side = "numerator" if rng.integers(2) == 0 else "denominator"
     tree = getattr(f, side)
     idx = int(rng.integers(node_count(tree)))
-    budget = max_depth - depth_at(tree, idx) + 1
+    budget = max_depth - _node_at(tree, idx)[1] + 1
     replacement = random_tree(max(1, budget), "grow", rng)
     new_tree = replace_at(tree, idx, replacement)
     if side == "numerator":
@@ -238,20 +224,18 @@ def aitken_seed() -> Formula:
 #   (formula :p 1.25 :num (sub (mul Sn Snm2) (add (sq Sn) (sq Snm1)))
 #            :den (mul (d2) (div Sn Snm1)))
 #
-# Terminals appear bare, the nullary d2 as (d2), constants as float
-# literals.  parse(serialize(f)) reproduces f exactly.
+# Terminals appear bare, the nullary d2 as (d2) (bare d2 parses too),
+# constants as float literals.  parse(serialize(f)) reproduces f exactly.
 # ---------------------------------------------------------------------------
 
 
 def _serialize_node(node: Node) -> str:
     if node.kind == "const":
         return repr(node.value)
-    if node.kind in _WINDOW_INDEX or node.kind == "p":
+    if node.kind in TERMINAL_KINDS:
         return node.kind
-    if node.kind == "d2":
-        return "(d2)"
-    inner = " ".join(_serialize_node(ch) for ch in node.children)
-    return f"({node.kind} {inner})"
+    parts = [node.kind, *map(_serialize_node, node.children)]
+    return f"({' '.join(parts)})"
 
 
 def serialize(f: Formula) -> str:
@@ -259,92 +243,54 @@ def serialize(f: Formula) -> str:
             f":den {_serialize_node(f.denominator)})")
 
 
-def _tokenize(text: str):
-    tokens = []  # (token, offset)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def parse(text: str) -> Formula:
+    end = (None, len(text))
+    tokens = ((m.group(), m.start()) for m in _TOKEN.finditer(text))
 
-    def peek(self):
-        if self.pos >= len(self.tokens):
-            return None, len(self.text)
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok, off = self.peek()
+    def take(expected=None):
+        tok, off = next(tokens, end)
         if tok is None:
             raise FormulaSyntaxError("unexpected end of input", off)
-        self.pos += 1
+        if expected is not None and tok != expected:
+            raise FormulaSyntaxError(f"expected {expected!r}, got {tok!r}", off)
         return tok, off
 
-    def expect(self, expected):
-        tok, off = self.take()
-        if tok != expected:
-            raise FormulaSyntaxError(f"expected {expected!r}, got {tok!r}", off)
-        return off
-
-    def parse_expr(self) -> Node:
-        tok, off = self.take()
+    def expr() -> Node:
+        tok, off = take()
         if tok == "(":
-            head, hoff = self.take()
-            if head == "d2":
-                self.expect(")")
-                return Node("d2")
-            if head in BINARY_KINDS + UNARY_KINDS:
-                children = tuple(self.parse_expr() for _ in range(ARITY[head]))
-                self.expect(")")
-                return Node(head, children=children)
-            raise FormulaSyntaxError(f"unknown operator {head!r}", hoff)
+            head, off = take()
+            if head not in FUNCTION_KINDS:
+                raise FormulaSyntaxError(f"unknown operator {head!r}", off)
+            children = tuple(expr() for _ in range(ARITY[head]))
+            take(")")
+            return Node(head, children=children)
         if tok == ")":
             raise FormulaSyntaxError("unexpected ')'", off)
-        if tok in _WINDOW_INDEX or tok == "p":
+        if ARITY.get(tok) == 0 and tok != "const":  # a window term, p or d2
             return Node(tok)
-        if tok == "d2":
-            return Node("d2")
         try:
             return Node("const", value=float(tok))
         except ValueError:
             raise FormulaSyntaxError(f"unknown terminal {tok!r}", off) from None
 
-    def parse_formula(self) -> Formula:
-        self.expect("(")
-        self.expect("formula")
-        self.expect(":p")
-        tok, off = self.take()
-        try:
-            p = float(tok)
-        except ValueError:
-            raise FormulaSyntaxError(f"expected a number for :p, got {tok!r}",
-                                     off) from None
-        self.expect(":num")
-        num = self.parse_expr()
-        self.expect(":den")
-        den = self.parse_expr()
-        self.expect(")")
-        tok, off = self.peek()
-        if tok is not None:
-            raise FormulaSyntaxError(f"trailing input {tok!r}", off)
-        return Formula(num, den, p)
-
-
-def parse(text: str) -> Formula:
-    return _Parser(text).parse_formula()
+    take("(")
+    take("formula")
+    take(":p")
+    tok, off = take()
+    try:
+        p = float(tok)
+    except ValueError:
+        raise FormulaSyntaxError(f"expected a number for :p, got {tok!r}",
+                                 off) from None
+    take(":num")
+    num = expr()
+    take(":den")
+    den = expr()
+    take(")")
+    tok, off = next(tokens, end)
+    if tok is not None:
+        raise FormulaSyntaxError(f"trailing input {tok!r}", off)
+    return Formula(num, den, p)

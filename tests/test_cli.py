@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_api import SUBCOMMAND_FLAGS
 from txaccel import __version__
 from txaccel.cli import main
 from txaccel.sequences import load_dataset
@@ -346,6 +347,27 @@ class TestEvaluate:
                        "--out", str(out)) == 0
         for name in ("report.csv", "grid.csv", "compare.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_manifest_records_every_flag(tiny_dataset, tmp_path):
+    evolved, evaluated = tmp_path / "evolve", tmp_path / "evaluate"
+    assert run("evolve", "--data", str(tiny_dataset), "--pop", "4",
+               "--gens", "0", "--out", str(evolved)) == 0
+    assert run("evaluate", "--data", str(tiny_dataset), "--methods", "aitken",
+               "--out", str(evaluated)) == 0
+    manifests = {"generate": read_pairs(tiny_dataset.parent / "manifest.txt"),
+                 "evolve": read_pairs(evolved / "manifest.txt"),
+                 "evaluate": read_pairs(evaluated / "manifest.txt")}
+    for command, manifest in manifests.items():
+        assert manifest["command"] == command
+        for flag in SUBCOMMAND_FLAGS[command]:
+            assert flag[2:].replace("-", "_") in manifest, (command, flag)
+    assert manifests["generate"]["widths"] == "1,2"
+    assert manifests["generate"]["sequences"] == "8"
+    assert manifests["evolve"]["positions"] == "20,28,36,44,52"
+    assert manifests["evolve"]["train_sequences"] == "6"
+    assert manifests["evolve"]["validation_sequences"] == "2"
+    assert manifests["evaluate"]["formula"] == "builtin"
 
 
 class TestHelp:

@@ -5,10 +5,11 @@ import pytest
 
 from oracles import Window, eval_formula, eval_tree, random_formula
 from txaccel.accelerators import INVALID, aitken, evolved
-from txaccel.errors import FormulaSyntaxError
+from txaccel.errors import FormulaSyntaxError, InvalidArgumentError
 from txaccel.trees import (
     Formula,
     Node,
+    _node_at,
     aitken_seed,
     crossover,
     depth,
@@ -16,6 +17,7 @@ from txaccel.trees import (
     node_count,
     parse,
     random_tree,
+    replace_at,
     serialize,
 )
 
@@ -246,10 +248,33 @@ class TestTextFormat:
         assert f.p == 1.25
         assert parse(serialize(f)) == f
 
-    def test_unbalanced_parenthesis_reports_offset(self):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("", "unexpected end of input (at offset 0)", id="empty"),
+        pytest.param("(formula :p 0 :num (add Sn Snm1 :den Sn)",
+                     "expected ')', got ':den' (at offset 32)", id="unbalanced"),
+        pytest.param("(formula :p 0 :num (exp Sn) :den Sn)",
+                     "unknown operator 'exp' (at offset 20)", id="operator"),
+        pytest.param("(formula :p 0 :num () :den Sn)",
+                     "unknown operator ')' (at offset 20)", id="empty-call"),
+        pytest.param("(formula :p 0 :num ) :den Sn)",
+                     "unexpected ')' (at offset 19)", id="stray-close"),
+        pytest.param("(formula :p 0 :num const :den Sn)",
+                     "unknown terminal 'const' (at offset 19)", id="terminal"),
+        pytest.param("(formula :p x :num Sn :den Sn)",
+                     "expected a number for :p, got 'x' (at offset 12)", id="p"),
+        pytest.param("(formula :p 0 :num Sn :den Sn) extra",
+                     "trailing input 'extra' (at offset 31)", id="trailing"),
+        pytest.param("(formula :p 0 :num Sn :den (d2)",
+                     "unexpected end of input (at offset 31)", id="truncated"),
+    ])
+    def test_syntax_error_message(self, text, message):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse("(formula :p 0 :num (add Sn Snm1 :den Sn)")
-        assert err.value.position >= 0
+            parse(text)
+        assert str(err.value) == message
+
+    def test_bare_d2_parses(self):
+        f = parse("(formula :p 0 :num d2 :den (d2))")
+        assert f.numerator == f.denominator == Node("d2")
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(FormulaSyntaxError):
@@ -258,6 +283,36 @@ class TestTextFormat:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(FormulaSyntaxError):
             parse("(formula :p 0 :num Sn :den Sn) extra")
+
+
+def preorder_depths(node, d=1):
+    """Depth of every node in preorder, the root's 1."""
+    yield d
+    for ch in node.children:
+        yield from preorder_depths(ch, d + 1)
+
+
+class TestWalkers:
+    def test_replace_every_index(self):
+        rng = np.random.default_rng(32)
+        for trial in range(200):
+            tree = random_tree(5, "grow" if trial % 2 else "full", rng)
+            count = node_count(tree)
+            for i, d in enumerate(preorder_depths(tree)):
+                old, old_depth = _node_at(tree, i)
+                assert old_depth == d
+                new = random_tree(3, "grow", rng)
+                swapped = replace_at(tree, i, new)
+                assert _node_at(swapped, i)[0] is new
+                assert node_count(swapped) == (
+                    count + node_count(new) - node_count(old))
+
+    def test_index_past_the_end_is_named(self):
+        tree = parse("(formula :p 0 :num (add Sn (sq p)) :den Sn)").numerator
+        with pytest.raises(InvalidArgumentError, match=r"^node index 4 out"):
+            _node_at(tree, 4)
+        with pytest.raises(InvalidArgumentError, match=r"^node index 4 out"):
+            replace_at(tree, 4, Node("Sn"))
 
 
 class TestStructure:
