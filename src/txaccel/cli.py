@@ -41,7 +41,12 @@ from .evolution import (
     write_report,
 )
 from .sequences import load_dataset, write_dataset
-from .transport import DatasetConfig, dataset_metadata, generate_grid
+from .transport import (
+    DatasetConfig,
+    dataset_metadata,
+    generate_grid,
+    width_text,
+)
 from .trees import parse
 
 EXIT_OK = 0
@@ -75,7 +80,7 @@ class _StageTimer:
 
 def _setting_text(value):
     if isinstance(value, list):
-        return ",".join(f"{v:g}" if isinstance(v, float) else str(v)
+        return ",".join(width_text(v) if isinstance(v, float) else str(v)
                         for v in value)
     return str(value)
 

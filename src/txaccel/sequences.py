@@ -175,14 +175,26 @@ def relative_errors(values, mask=None):
 #
 # CSV with header sequence_id,c,width_mfp,order,center_flux, one row per
 # (sequence, order), floats at 17 significant digits so values round-trip
-# exactly.  A sidecar key=value text file holds the grid definition.
+# exactly, in csv's default dialect: "\r\n" line ends and ids quoted only
+# when they hold a comma, a quote or a line break.  A sidecar key=value
+# text file holds the grid definition.
 # ---------------------------------------------------------------------------
 
 DATASET_HEADER = ["sequence_id", "c", "width_mfp", "order", "center_flux"]
 
+_LINE_END = "\r\n"
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv's minimal quoting writes it in a row of several
+    fields."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def metadata_path(csv_path) -> Path:
@@ -190,16 +202,23 @@ def metadata_path(csv_path) -> Path:
 
 
 def write_dataset(csv_path, sequences, metadata=None) -> None:
-    """Write sequences to CSV and, when metadata is given, the sidecar file."""
+    """Write sequences to CSV and, when metadata is given, the sidecar file.
+
+    Each sequence is one ``%`` template, its id, c and width spelled once
+    and one ``%.17g`` slot per order, filled with all its values at once.
+    """
     csv_path = Path(csv_path)
+    row_ends = {}  # orders -> the "order,%.17g" tail of each row
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
+        fh.write(",".join(DATASET_HEADER) + _LINE_END)
         for seq in sequences:
-            c, width = _fmt(seq.c), _fmt(seq.width_mfp)
-            writer.writerows([seq.id, c, width, order, f"{value:.17g}"]
-                             for order, value in zip(seq.orders,
-                                                     seq.values.tolist()))
+            ends = row_ends.get(seq.orders)
+            if ends is None:
+                ends = row_ends[seq.orders] = [f"{order},%.17g{_LINE_END}"
+                                               for order in seq.orders]
+            head = (f"{_csv_field(seq.id)},{_fmt(seq.c)},"
+                    f"{_fmt(seq.width_mfp)},").replace("%", "%%")
+            fh.write((head + head.join(ends)) % tuple(seq.values.tolist()))
     if metadata is not None:
         write_metadata(metadata_path(csv_path), metadata)
 

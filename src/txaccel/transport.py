@@ -27,14 +27,16 @@ the far face carry the same coefficients as those decaying from the near
 face, and the vacuum condition at x = 0 alone is an N/2 x N/2 system.  Every
 exponential is exp(-distance / nu) <= 1 whatever the slab thickness.
 
-There is one solve path, `_center_fluxes`, which takes one order and a
-list of c values and widths.  The eigenmodes depend only on (N, c), so
-one stacked `eigh` covers every c of the order; each width is then
-one stacked boundary system over every c, with its condition numbers,
-solve and center fluxes computed for the whole stack.  A grid therefore
-solves each (N, c) eigenproblem exactly once, and `solve_sn` is the case
-of one c and one width.  The self-checks (a positive eigenvalue, a bounded
-condition number and a bounded rounding error) hold for every solve.
+There is one solve path, `_center_fluxes`, which takes the positive half
+(mu, w) of one quadrature rule and a list of c values and widths.  The
+eigenmodes depend only on (N, c), so one stacked `eigh` covers every c of
+the order; each width is then one stacked boundary system over every c,
+with its condition numbers, solve and center fluxes computed for the whole
+stack.  A grid gets the rules of all its orders from one Newton sweep
+(`gauss_legendre_halves`) and solves each (N, c) eigenproblem exactly
+once; `solve_sn` is the case of one rule, one c and one width.  The
+self-checks (a positive eigenvalue, a bounded condition number and a
+bounded rounding error) hold for every solve.
 
 The condition checks are screened by a closed-form upper bound on each
 2-norm condition number.  With D = diag(sqrt w), M = diag(mu),
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidConfigError, NumericalFailureError
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre_halves
 from .sequences import Sequence
 
 MIN_SN_ORDER = 4
@@ -129,9 +131,10 @@ def _rounding_bound(condition, psi, center):
     return condition * _EPS * 2.0 * psi / np.abs(center)
 
 
-def _center_fluxes(order, cs, widths):
-    """Center fluxes of one quadrature order: a (C, W) array over the
-    scattering ratios cs and the widths (in mean free paths).
+def _center_fluxes(mu, w, cs, widths):
+    """Center fluxes of one quadrature rule, given by its positive nodes
+    mu and their weights w: a (C, W) array over the scattering ratios cs
+    and the widths (in mean free paths).
 
     One eigen-solve covers every c; each width is one stacked boundary
     solve over every c.  Raises NumericalFailureError, with order, c and
@@ -140,9 +143,7 @@ def _center_fluxes(order, cs, widths):
     width by width and c by c, an ill-conditioned boundary system or a
     rounding error bound above 1e-10 relative to the center flux.
     """
-    nodes, weights = gauss_legendre(order)
-    half = order // 2
-    mu, w = nodes[half:], weights[half:]
+    order = 2 * len(mu)
     root_w = np.sqrt(w)
     v = mu * root_w
     cs = np.asarray(cs, dtype=float)
@@ -235,7 +236,8 @@ def solve_sn(c: float, width: float, order: int) -> float:
     if not width > 0.0:
         raise InvalidArgumentError(f"width must be > 0, got {width}")
     _check_order(order)
-    return float(_center_fluxes(int(order), [c], [width])[0, 0])
+    [(mu, w)] = gauss_legendre_halves([order])
+    return float(_center_fluxes(mu, w, [c], [width])[0, 0])
 
 
 def _at_order(exc, order):
@@ -297,21 +299,29 @@ class DatasetConfig:
 def generate_grid(config: DatasetConfig) -> list:
     """All sequences of the configured grid, in c-major order.
 
-    Each order is one `_center_fluxes` call over every (c, width).  On a
-    numerical failure the error names the first failing solve by lowest
-    order, then width, then c, and carries its `failing_order`.
+    One Newton sweep gives the rules of every order; each order is then
+    one `_center_fluxes` call over every (c, width).  On a numerical
+    failure the error names the first failing solve by lowest order, then
+    width, then c, and carries its `failing_order`.
     """
     cs = config.c_values()
     columns = []
-    for order in config.orders:
+    for order, (mu, w) in zip(config.orders,
+                              gauss_legendre_halves(config.orders)):
         try:
-            columns.append(_center_fluxes(order, cs, config.widths))
+            columns.append(_center_fluxes(mu, w, cs, config.widths))
         except NumericalFailureError as exc:
             raise _at_order(exc, order) from exc
     values = np.stack(columns, axis=-1)  # (c, width, order)
     return [Sequence(id=f"s{i * len(config.widths) + j:03d}", c=float(c),
                      width_mfp=width, orders=config.orders, values=values[i, j])
             for i, c in enumerate(cs) for j, width in enumerate(config.widths)]
+
+
+def width_text(width: float) -> str:
+    """The shortest text that reads back as ``width``, with an integral
+    width written without ".0" (so 1 and 1.23456789, not 1.0 and 1.23457)."""
+    return repr(float(width)).removesuffix(".0")
 
 
 def dataset_metadata(config: DatasetConfig, seed: int, version: str) -> dict:
@@ -323,7 +333,7 @@ def dataset_metadata(config: DatasetConfig, seed: int, version: str) -> dict:
         "c_max": config.c_max,
         "c_count": config.c_count,
         "c_spacing": "log",
-        "widths_mfp": ",".join(f"{w:g}" for w in config.widths),
+        "widths_mfp": ",".join(map(width_text, config.widths)),
         "orders": ",".join(str(n) for n in config.orders),
         "sigma_t": 1.0,
         "source": 1.0,

@@ -8,6 +8,11 @@ formula language: a recursion over the tree, one window at a time, that
 ``kernels.evaluate_program`` must reproduce bit for bit, and
 ``random_formula`` draws the random formulas such checks run on.
 
+``gauss_legendre_reference`` is the per-order Newton loop that
+``quadrature.gauss_legendre_halves`` batches: its rules must come back
+bit for bit.  ``write_dataset_reference`` writes a dataset row by row
+through ``csv.writer``, the bytes ``sequences.write_dataset`` must match.
+
 Diamond-difference discrete ordinates on a uniform spatial mesh, solved
 for the scattering source with GMRES (Saad & Schultz 1986), then
 Richardson-extrapolated to zero mesh width from three refinement levels.
@@ -18,6 +23,7 @@ leggauss, so this path shares nothing with the package solver beyond the
 problem definition.  The same Q/2 isotropic source convention applies.
 """
 
+import csv
 import math
 from typing import NamedTuple
 
@@ -120,6 +126,52 @@ def pure_absorber_center_flux(width, order, sigma_t=1.0, source=1.0):
     half = width / sigma_t / 2.0
     psi = 0.5 * source / sigma_t * (1.0 - np.exp(-sigma_t * half / np.abs(mu)))
     return float(np.sum(w * psi))
+
+
+# ---------------------------------------------------------------------------
+# Quadrature and dataset file references
+# ---------------------------------------------------------------------------
+
+def _legendre_and_derivative(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, all x at one n."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    return p, dp
+
+
+def gauss_legendre_reference(order):
+    """Nodes and weights of the even-order rule from a Newton loop on this
+    order alone, stopped at its own max |dx| < 1e-15."""
+    half = order // 2
+    m = np.arange(1, half + 1)
+    x = np.cos(np.pi * (m - 0.25) / (order + 0.5))
+    for _ in range(100):
+        p, dp = _legendre_and_derivative(order, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    _, dp = _legendre_and_derivative(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    pos, wpos = x[::-1], w[::-1]
+    return (np.concatenate([-pos[::-1], pos]),
+            np.concatenate([wpos[::-1], wpos]))
+
+
+def write_dataset_reference(path, sequences):
+    """A dataset CSV written one row at a time through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sequence_id", "c", "width_mfp", "order",
+                         "center_flux"])
+        for seq in sequences:
+            for order, value in zip(seq.orders, seq.values.tolist()):
+                writer.writerow([seq.id, f"{seq.c:.17g}",
+                                 f"{seq.width_mfp:.17g}", order,
+                                 f"{value:.17g}"])
 
 
 # ---------------------------------------------------------------------------

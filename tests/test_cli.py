@@ -137,6 +137,18 @@ class TestGenerate:
                                1)[1].split("```", 1)[0]
         assert capsys.readouterr().err == example
 
+    def test_widths_are_recorded_exactly(self, tmp_path):
+        # The manifest and the sidecar spell each width as the CSV reads
+        # it back; 6 significant digits (1.23457) would not.
+        out = tmp_path / "dataset.csv"
+        assert run("generate", "--out", str(out), "--c-count", "2",
+                   "--widths", "1.23456789,2,0.5", "--n-max", "8") == 0
+        text = "1.23456789,2,0.5"
+        assert read_pairs(tmp_path / "manifest.txt")["widths"] == text
+        assert read_pairs(out.with_suffix(".meta"))["widths_mfp"] == text
+        assert [s.width_mfp for s in load_dataset(out)] == 2 * [
+            float(w) for w in text.split(",")]
+
     def test_golden_sidecar(self, tmp_path):
         # Every key in order: the grid is the unit problem on a log c grid,
         # and the seed is recorded only.

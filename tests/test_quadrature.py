@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import gauss_legendre_reference
 from txaccel.errors import InvalidArgumentError
-from txaccel.quadrature import gauss_legendre
+from txaccel.quadrature import gauss_legendre, gauss_legendre_halves
 
 ALL_ORDERS = list(range(4, 53, 4))
+EVEN_ORDERS = list(range(2, 65, 2))
 
 
 def test_order_2_closed_form():
@@ -99,3 +101,41 @@ def test_deterministic():
     b_nodes, b_weights = gauss_legendre(32)
     assert np.array_equal(a_nodes, b_nodes)
     assert np.array_equal(a_weights, b_weights)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("orders", [
+    EVEN_ORDERS,                  # one batch of every order
+    EVEN_ORDERS[::-1],
+    [52, 4, 30, 64, 2, 18, 4],    # a mixed subset, one order twice
+    ALL_ORDERS,                   # the default grid's orders
+], ids=["all", "all-descending", "mixed", "default-grid"])
+def test_batched_rules_are_the_per_order_newton_rules(orders):
+    # Each order stops at its own max |dx| < 1e-15; one more or one fewer
+    # Newton step moves the bits of most orders.
+    rules = gauss_legendre_halves(orders)
+    assert len(rules) == len(orders)
+    for order, (mu, w) in zip(orders, rules):
+        nodes, weights = gauss_legendre_reference(order)
+        assert same_bits(mu, nodes[order // 2:]), order
+        assert same_bits(w, weights[order // 2:]), order
+
+
+@pytest.mark.parametrize("order", EVEN_ORDERS)
+def test_single_order_is_the_per_order_newton_rule(order):
+    nodes, weights = gauss_legendre_reference(order)
+    [(mu, w)] = gauss_legendre_halves([order])
+    assert same_bits(mu, nodes[order // 2:])
+    assert same_bits(w, weights[order // 2:])
+    got_nodes, got_weights = gauss_legendre(order)
+    assert same_bits(got_nodes, nodes)
+    assert same_bits(got_weights, weights)
+
+
+@pytest.mark.parametrize("orders", [[4, 3], [66], [4, 4.0], [0]])
+def test_batched_rules_reject_bad_orders(orders):
+    with pytest.raises(InvalidArgumentError):
+        gauss_legendre_halves(orders)

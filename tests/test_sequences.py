@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import Window
+from oracles import Window, write_dataset_reference
 from txaccel.errors import InsufficientHistoryError, InvalidArgumentError
 from txaccel.sequences import (
     ComparisonMatrix,
@@ -249,6 +249,28 @@ class TestDatasetIo:
         assert lines[1].startswith('"a,""b""",')
         assert lines[3].startswith("plain,")
         assert [s.id for s in load_dataset(path)] == ['a,"b"', "plain"]
+
+    def test_bytes_equal_csv_writer_reference(self, tmp_path):
+        # Ids that need quoting or hold a % (the writer's template
+        # character), extreme values, and two different order lists.
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1 / 3]
+        seqs = [make_sequence(extremes, orders=(2, 4, 8, 64), c=0.0,
+                              width=np.inf, seq_id='a,"b"\n%s%%d'),
+                make_sequence([0.1, 0.2], orders=(6, 10), c=1 / 3,
+                              width=5e-324, seq_id="100%"),
+                make_sequence([1.0, 2.0, 3.0], c=1.0, width=0.5,
+                              seq_id="cr\rid"),
+                make_sequence([7.0], orders=(4,), seq_id=""),
+                make_sequence(extremes, c=5e-324, width=1e300,
+                              seq_id="plain")]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_dataset(got, seqs)
+        write_dataset_reference(want, seqs)
+        assert got.read_bytes() == want.read_bytes()
+        for a, b in zip(seqs, load_dataset(got)):
+            assert (a.id, a.orders, a.c, a.width_mfp) == (
+                b.id, b.orders, b.c, b.width_mfp)
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_write_is_deterministic(self, tmp_path):
         seqs = [make_sequence([1 / 3, 2 / 7, 0.123456789012345678], seq_id="s0")]

@@ -10,6 +10,7 @@ from txaccel.errors import (
     InvalidConfigError,
     NumericalFailureError,
 )
+from txaccel.quadrature import gauss_legendre
 from txaccel.sequences import load_dataset
 from txaccel.transport import DatasetConfig, generate_grid, solve_sn
 
@@ -207,10 +208,16 @@ def svd_calls(monkeypatch):
     return calls
 
 
+def positive_half(order):
+    """The positive nodes and weights of the rule of ``order``."""
+    nodes, weights = gauss_legendre(order)
+    return nodes[order // 2:], weights[order // 2:]
+
+
 def screened_stacks(order, cs, widths):
     """nu, the eigenvectors, and each width's boundary stack and condition
-    bound, of one `_center_fluxes` call with both checks switched off, so
-    that the screen clears every stack."""
+    bound, of one `_center_fluxes` call on the rule of ``order`` with both
+    checks switched off, so that the screen clears every stack."""
     eigh, solve = np.linalg.eigh, np.linalg.solve
     condition_bound = transport_module._condition_bound
     modes, stacks, bounds = [], [], []
@@ -235,7 +242,7 @@ def screened_stacks(order, cs, widths):
         patch.setattr(transport_module.np.linalg, "eigh", recording_eigh)
         patch.setattr(transport_module.np.linalg, "solve", recording_solve)
         patch.setattr(transport_module, "_condition_bound", recording_bound)
-        transport_module._center_fluxes(order, cs, widths)
+        transport_module._center_fluxes(*positive_half(order), cs, widths)
     [(nu, vectors)] = modes
     return nu, vectors, stacks, bounds
 
@@ -311,8 +318,7 @@ class TestConditionScreen:
         # eigenvectors, G = Y^T M^-1 Y, H = diag(tanh(L / 2 nu) / nu) and
         # E = diag(exp(-L / nu)).  Weyl's inequality bounds the spectrum
         # of G + H by those of G (from eigvalsh here) and H.
-        nodes, weights = transport_module.gauss_legendre(order)
-        mu, w = nodes[order // 2:], weights[order // 2:]
+        mu, w = positive_half(order)
         nu, y, stacks, bounds = screened_stacks(order, SWEEP_CS,
                                                 SWEEP_WIDTHS)
         g = np.swapaxes(y, 1, 2) @ (y / mu[:, None])
