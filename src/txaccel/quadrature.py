@@ -66,6 +66,8 @@ def gauss_legendre_halves(orders):
     for order in orders:
         _check_order(order)
     distinct = sorted({int(order) for order in orders}, reverse=True)
+    if not distinct:
+        return []
     sizes = np.array(distinct) // 2
     n = np.repeat(distinct, sizes)
     m = np.concatenate([np.arange(1, size + 1) for size in sizes])

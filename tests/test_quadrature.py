@@ -135,6 +135,10 @@ def test_single_order_is_the_per_order_newton_rule(order):
     assert same_bits(got_weights, weights)
 
 
+def test_no_orders_give_no_rules():
+    assert gauss_legendre_halves([]) == []
+
+
 @pytest.mark.parametrize("orders", [[4, 3], [66], [4, 4.0], [0]])
 def test_batched_rules_reject_bad_orders(orders):
     with pytest.raises(InvalidArgumentError):
