@@ -18,7 +18,9 @@ rate on the same sequences and positions.  A vector of p is swept in
 blocks of about BLOCK_ELEMENTS values (p-values times windows), one
 kernel call per block, all in one kernel workspace that the evaluator
 keeps: the p-scan then reuses a few cache-sized buffers instead of
-faulting in fresh (P, n) temporaries on each of its calls.  The
+faulting in fresh (P, n) temporaries on each of its calls, and a
+program holds at most two of them on the evolve-fixed search (the
+kernel's block pool).  The
 workspace lays a block out as (2, P, m), the prev values and the curr
 values of the m comparisons as two contiguous arrays, which is the
 layout the score takes.
@@ -126,8 +128,9 @@ class FitnessEvaluator(ComparisonMatrix):
     are the popcount of its win mask, kept with rows padded to whole
     8-byte words whose pad columns stay False.  ``evals`` counts
     the p-values scored, memo hits included.  ``memo`` maps a program's
-    opcode and constant bytes to its fits at P_SCAN and a dict of its
-    refine fits by centre; ``memo_hits`` counts the tunings that found
+    opcode, constant and evaluation-order bytes (two trees can share the
+    first two) to its fits at P_SCAN and a dict of its refine fits by
+    centre; ``memo_hits`` counts the tunings that found
     their program there.
     """
 
@@ -191,7 +194,7 @@ def _optimize_parameter(f, evaluator, rng):
 
     draws = rng.uniform(*P_RANGE, P_DRAWS)
     scan = np.concatenate(([f.p], P_SCAN, draws))
-    key = program.code.tobytes(), program.consts.tobytes()
+    key = program.code.tobytes(), program.consts.tobytes(), program.order.tobytes()
     entry = evaluator.memo.get(key)
     if entry is None:
         scan_fit = evaluator.fitness_program(program, scan)

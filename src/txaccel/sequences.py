@@ -94,11 +94,19 @@ class ComparisonMatrix:
                 "evaluation orders must be non-empty and strictly increasing, "
                 f"got {list(self.orders)}"
             )
-        taps = np.arange(5)
-        rows = [seq.values[self._window_ends(seq)[:, None] - taps]
-                for seq in self.sequences]
         # Terms i, i-1, ..., i-4: the current window and the previous one.
-        terms = np.concatenate(rows)
+        # Sequences that share an order list share their window ends and
+        # one gather; the first list to fail names its first sequence.
+        taps = np.arange(5)
+        terms = np.empty((len(self.sequences), len(self.orders), 5))
+        members = {}
+        for s, seq in enumerate(self.sequences):
+            members.setdefault(seq.orders, []).append(s)
+        for rows in members.values():
+            ends = self._window_ends(self.sequences[rows[0]])
+            values = np.stack([self.sequences[s].values for s in rows])
+            terms[rows] = values[:, ends[:, None] - taps]
+        terms = terms.reshape(-1, 5)
         self.windows = np.concatenate((terms[:, 1:], terms[:, :4]))
         self.comparisons = terms.shape[0]
         self.raw_errors = relative_errors(

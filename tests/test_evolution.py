@@ -31,6 +31,7 @@ from txaccel.trees import (
     DIV_GUARD,
     Formula,
     Node,
+    depth,
     formula_node_count,
     parse,
     serialize,
@@ -332,6 +333,39 @@ class TestFitness:
                 tracemalloc.stop()
             assert peak - before < limit
 
+    # A full depth-5 numerator whose sub at the top holds one block while
+    # its right operand, a product of two blocks, needs two: computed
+    # right first it needs two buffers, left first three.  The denominator
+    # is a window-only sum over a block that needs one, so the root div
+    # needs two as well.
+    DEEP_FORMULA = (
+        "(formula :p 0.5"
+        " :num (sub (sub (add (sub Sn Snm1) (mul Snm2 Snm3))"
+        "                (mul (add Sn p) (sub Snm1 Snm2)))"
+        "           (mul (div (sub Snm2 Snm3) (add Snm1 p))"
+        "                (mul (add Sn p) (sub Snm1 Snm2))))"
+        " :den (div (add (add (sub Sn Snm1) (mul Snm2 Snm3))"
+        "                (sub (mul Sn 0.5) (add Snm3 Snm2)))"
+        "           (sub (add (sub Sn Snm1) (mul Snm2 Snm3))"
+        "                (mul (add Sn p) (sub Snm1 Snm2)))))")
+
+    def test_deep_formula_holds_at_most_two_blocks(self, dataset240):
+        # Count the float buffers of at least a (rows, n) block that a
+        # p-scan leaves allocated: one per stack slot would make five.
+        f = parse(self.DEEP_FORMULA)
+        assert depth(f.numerator) == depth(f.denominator) == 5
+        train, _ = split_dataset(dataset240, 0.70, 1)
+        evaluator = FitnessEvaluator(train, ORDERS)
+        block_bytes = 8 * evaluator.block_rows * evaluator.windows.shape[0]
+        ps = np.resize(self.P_POOL, 3 * evaluator.block_rows)
+        tracemalloc.start()
+        try:
+            evaluator.fitness_program(compile_formula(f), ps)
+            held = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        assert sum(trace.size >= block_bytes for trace in held) <= 2
+
     def test_insufficient_history_is_reported(self):
         short = Sequence(id="s", c=0.5, width_mfp=1.0,
                          orders=(4, 8, 12), values=np.ones(3))
@@ -466,6 +500,25 @@ class TestOptimizeParameter:
                                    np.random.default_rng(7))
         assert evaluator.memo_hits == 0 and len(evaluator.memo) == 2
         assert tuned == cold
+
+    def test_evaluation_order_is_part_of_the_memo_key(self):
+        # p Snm1 needs a block buffer and Sn none, so both subs compute p
+        # Snm1 first: the two programs share their opcodes and constants,
+        # and only the order tells Sn + (Sn - p Snm1) from Sn + (p Snm1 - Sn).
+        one = parse("(formula :p 0.1 :num (add Sn (sub Sn (mul p Snm1))) :den 1.0)")
+        two = parse("(formula :p 0.1 :num (add Sn (sub (mul p Snm1) Sn)) :den 1.0)")
+        first, second = compile_formula(one), compile_formula(two)
+        assert np.array_equal(first.code, second.code)
+        assert np.array_equal(first.consts, second.consts)
+        assert not np.array_equal(first.order, second.order)
+        evaluator = FitnessEvaluator(geometric_training_set(), ORDERS)
+        for f in (one, two):
+            tuned = _optimize_parameter(f, evaluator, np.random.default_rng(7))
+            cold = _optimize_parameter(f, FitnessEvaluator(geometric_training_set(),
+                                                           ORDERS),
+                                       np.random.default_rng(7))
+            assert tuned == cold
+        assert evaluator.memo_hits == 0 and len(evaluator.memo) == 2
 
 
 def tournament_winner(population, rng, tournament_size=3):

@@ -45,6 +45,11 @@ def test_numpy_backend_matches_scalar_reference_bitwise():
             g = replace(f, p=float(p))
             for i in range(windows.shape[0]):
                 assert rows[j, i] == eval_formula(g, Window(*windows[i]))
+    windows = random_windows(rng, 9)
+    windows[::4, 1] = 0.0
+    ps = np.concatenate(([0.0, -0.0, 1.5], rng.uniform(-2, 2, 3)))
+    for text in ORDER_FORMULAS:
+        assert_bitwise_rows(parse(text), windows, ps)
 
 
 def extreme_windows(rng, n):
@@ -79,6 +84,23 @@ BRANCH_FORMULAS = (
     "(formula :p 1.5 :num (sub (d2) (d2)) :den (add (d2) p))",
 )
 
+# Formulas whose evaluation order differs from the tree's: the right
+# operand needs more block buffers, so it is computed first, at a sub or a
+# div, at the root and deeper.  Some divide by a block: a product with p
+# is guarded wherever p or the window term is 0.
+ORDER_FORMULAS = (
+    "(formula :p 1.5 :num (sub Sn Snm1) :den (add Snm2 p))",
+    "(formula :p 1.5 :num (div Sn Snm1) :den (mul p Snm1))",
+    "(formula :p 1.5 :num (sub Sn (mul p Snm1)) :den 2.0)",
+    "(formula :p 1.5 :num (div Snm3 (sub Snm1 p)) :den (sq (add Sn Snm2)))",
+    "(formula :p 1.5 :num (sub (mul Sn p) (mul (add Snm1 p) (sub Snm2 p)))"
+    " :den (d2))",
+    "(formula :p 1.5 :num (div (add Sn p) (mul (sub Snm1 p) (add Snm2 p)))"
+    " :den (sub p (div Snm3 (mul p Sn))))",
+    "(formula :p 1.5 :num (mul (div (d2) (mul p Snm1)) (sq (sub Sn p)))"
+    " :den (div (add Snm2 p) (sub (mul p Sn) (div Snm1 (add p Snm3)))))",
+)
+
 EXTREME_PS = np.array([1.5, 0.0, -0.0, 1e-12, -1e-300, 2.0, -1e160, 1e300,
                        -1.7e308])
 
@@ -104,6 +126,18 @@ def test_extreme_windows_match_scalar_reference_bitwise():
         f = random_formula(4, "grow" if trial % 2 else "full", rng,
                            p=float(rng.choice(EXTREME_PS)))
         assert_bitwise_rows(f, extreme_windows(rng, 24), EXTREME_PS)
+    for text in ORDER_FORMULAS:
+        assert_bitwise_rows(parse(text), windows, EXTREME_PS)
+    # NaN and +-inf windows and p.  The NaNs carry the sign bit of the NaN
+    # that inf - inf or 0 * inf makes: where NaNs of both signs meet at an
+    # add or a mul, numpy keeps the first operand's and a Python float the
+    # second's, so the two would differ in any evaluation order.
+    special = extreme_windows(rng, 60)
+    special.flat[rng.choice(special.size, 40, replace=False)] = np.resize(
+        [-np.nan, np.inf, -np.inf], 40)
+    special_ps = np.concatenate((EXTREME_PS, [-np.nan, np.inf, -np.inf]))
+    for text in BRANCH_FORMULAS + ORDER_FORMULAS:
+        assert_bitwise_rows(parse(text), special, special_ps)
 
 
 def signed_uniform(rng, shape, lo, hi):
@@ -276,9 +310,10 @@ def test_reused_workspace_matches_fresh_sweeps_bitwise():
     rng = np.random.default_rng(48)
     windows = extreme_windows(rng, 60)
     workspace = kernels.Workspace(windows, rows=7)
-    texts = BRANCH_FORMULAS + ("(formula :p 0.5 :num p :den 2.0)",
-                               "(formula :p 0.5 :num (sub Sn Snm1) :den (d2))",
-                               "(formula :p 0.5 :num (add 1.0 (sq 3.0)) :den p)")
+    texts = BRANCH_FORMULAS + ORDER_FORMULAS + (
+        "(formula :p 0.5 :num p :den 2.0)",
+        "(formula :p 0.5 :num (sub Sn Snm1) :den (d2))",
+        "(formula :p 0.5 :num (add 1.0 (sq 3.0)) :den p)")
     programs = [compile_formula(parse(text)) for text in texts]
     programs += [compile_formula(random_formula(4, "grow", rng)) for _ in range(40)]
     for program in programs + programs[::-1]:

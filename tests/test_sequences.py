@@ -144,6 +144,32 @@ class TestWindowAt:
         with pytest.raises(InsufficientHistoryError):
             ComparisonMatrix([seq], (17,))
 
+    def test_mixed_order_lists(self):
+        # Sequences of two order lists, interleaved: each keeps its own
+        # rows, bitwise those of a matrix over it alone.
+        rng = np.random.default_rng(3)
+        sequences = [make_sequence(rng.uniform(-1, 1, 13), seq_id="a0"),
+                     make_sequence(rng.uniform(-1, 1, 25), seq_id="b0",
+                                   orders=tuple(range(4, 53, 2))),
+                     make_sequence(rng.uniform(-1, 1, 13), seq_id="a1"),
+                     make_sequence(rng.uniform(-1, 1, 25), seq_id="b1",
+                                   orders=tuple(range(4, 53, 2)))]
+        orders = (20, 28, 52)
+        w = ComparisonMatrix(sequences, orders).windows
+        alone = [ComparisonMatrix([seq], orders).windows for seq in sequences]
+        expected = np.concatenate([a[:3] for a in alone] + [a[3:] for a in alone])
+        assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
+
+    def test_first_failing_sequence_is_named(self):
+        # "late" fails first in the list; "early" has the smaller orders.
+        good = make_sequence(np.arange(13.0), seq_id="good")
+        late = make_sequence(np.arange(13.0), seq_id="late",
+                             orders=tuple(range(8, 57, 4)))
+        early = make_sequence(np.arange(5.0), seq_id="early",
+                              orders=(4, 8, 12, 16, 20))
+        with pytest.raises(InsufficientHistoryError, match="'late'"):
+            ComparisonMatrix([good, late, early, late], (20, 28))
+
     def test_sequences_must_be_nonempty(self):
         # Otherwise a success rate would be 0 of 0 comparisons.
         with pytest.raises(InvalidArgumentError, match="non-empty"):
