@@ -19,9 +19,8 @@ class InsufficientHistoryError(TxaccelError, IndexError):
 
 
 class NumericalFailureError(TxaccelError, RuntimeError):
-    """A numerical self-check failed (a non-positive eigenvalue, an
-    ill-conditioned boundary system, a rounding error bound above
-    tolerance).  Carries a diagnostics dict."""
+    """A numerical self-check failed (a non-positive eigenvalue, a
+    rounding error bound above tolerance).  Carries a diagnostics dict."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

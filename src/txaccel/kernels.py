@@ -46,13 +46,13 @@ that sweeps the same windows again and again (the fitness's p-scan) keeps
 one workspace, so the buffers are allocated once; without one, a call
 makes a throwaway workspace sized for its own p-vector.
 Each step is the same IEEE operation as in the scalar interpreter of
-``tests/oracles.py``, so every row reproduces its ``eval_formula`` bit for
-bit at its p, NaN included (where NaNs of both signs meet at an add or
-a mul, numpy keeps the first operand's and a Python float the second's;
-the NaN that inf - inf makes has one sign): that recursive interpreter
-is the reference semantics and this module is the path that ``evolve``
-and ``evaluate`` run.  The mean cost of one call is the ``kernels.evaluate_program.us``
-metric of ``perfbench/run.py --workload evolve-fixed --trace 1``.
+``tests/oracles.py``, whose add and mul call the same ufuncs, so every row
+reproduces its ``eval_formula`` bit for bit at its p, NaN included: where
+NaNs of both signs meet at an add or a mul, both keep the first operand's.
+That recursive interpreter is the reference semantics and this module is
+the path that ``evolve`` and ``evaluate`` run.  The mean cost of one call
+is the ``kernels.evaluate_program.us`` metric of
+``perfbench/run.py --workload evolve-fixed --trace 1``.
 """
 
 import math

@@ -31,14 +31,13 @@ There is one solve path, `_center_fluxes`, which takes the positive half
 (mu, w) of one quadrature rule and a list of c values and widths.  The
 eigenmodes depend only on (N, c), so one stacked `eigh` covers every c of
 the order; each width is then one stacked boundary system over every c,
-with its condition numbers, solve and center fluxes computed for the whole
-stack.  A grid gets the rules of all its orders from one Newton sweep
-(`gauss_legendre_halves`) and solves each (N, c) eigenproblem exactly
-once; `solve_sn` is the case of one rule, one c and one width.  The
-self-checks (a positive eigenvalue, a bounded condition number and a
-bounded rounding error) hold for every solve.
+solved once for the whole stack.  A grid gets the rules of all its orders
+from one Newton sweep (`gauss_legendre_halves`) and solves each (N, c)
+eigenproblem exactly once; `solve_sn` is the case of one rule, one c and
+one width.  The self-checks (a positive eigenvalue and a bounded rounding
+error) hold for every solve.
 
-The condition checks are screened by a closed-form upper bound on each
+The rounding check is screened by a closed-form upper bound on each
 2-norm condition number.  With D = diag(sqrt w), M = diag(mu),
 Nu = diag(nu), E = diag(e), e = exp(-L / nu), and Y the orthonormal
 eigenvectors from `eigh`, the boundary matrix is
@@ -49,11 +48,19 @@ h = tanh(L / 2 nu) / nu >= 0.  Weyl's inequality bounds the eigenvalues
 of G + H, so
     cond(B) <= sqrt(w_max / w_min) (1/mu_min + max h) / (1/mu_max + min h)
                max(1 + e) / min(1 + e),
-from numbers the solve already holds.  When the bound, with a small margin,
-passes both checks for every c of a stack, the stack is cleared; otherwise
-the singular values of the stack decide, as `np.linalg.cond` would.  Every
-pass or fail and every reported condition number is therefore the SVD's,
-and on the default grid no SVD runs.
+from numbers the solve already holds.  Each c whose rounding check the
+bound passes, with a small margin, is cleared; the singular values of the
+other c values' matrices decide, as `np.linalg.cond` would.  Every pass or
+fail and every reported condition number is therefore the SVD's, and on
+the default grid no SVD runs.
+
+The same bound shows that B is never near singular, so there is no
+separate limit on its condition number.  By Weyl, nu >= mu_min, so
+0 <= h <= 1 / mu_min and 1 <= 1 + e <= 2, and in exact arithmetic
+    cond(B) <= 4 sqrt(w_max / w_min) mu_max / mu_min,
+which is 858 at N = 64.  A solve with cond(B) above 1e12 would fail
+the rounding check anyway: the center flux is at most 2 psi_p, so its
+bound would exceed 2.2e-4.
 """
 
 from dataclasses import dataclass
@@ -61,20 +68,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidConfigError, NumericalFailureError
-from .quadrature import gauss_legendre_halves
+from .quadrature import MAX_ORDER as MAX_SN_ORDER, gauss_legendre_halves
 from .sequences import Sequence
 
 MIN_SN_ORDER = 4
-MAX_SN_ORDER = 64
-
-#: Boundary systems with a condition number above this abort the solve.
-MAX_BOUNDARY_CONDITION = 1e12
 
 #: Largest accepted bound on the center flux's relative rounding error.
 _ROUNDING_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
-#: Factor on the closed-form condition bound before it screens a stack.  It
+#: Factor on the closed-form condition bound before it screens a c.  It
 #: covers the gap, of order 1e-15 relative, between the computed boundary
 #: matrix and its exact factored form.  (Over orders 4-64, c up to 0.99999
 #: and widths 0.01 to inf the bound alone is at least 1.87 times cond_2.)
@@ -140,8 +143,10 @@ def _center_fluxes(mu, w, cs, widths):
     solve over every c.  Raises NumericalFailureError, with order, c and
     width in its diagnostics, at the first self-check that trips: a
     non-positive eigenvalue (reported with the first width); otherwise,
-    width by width and c by c, an ill-conditioned boundary system or a
-    rounding error bound above 1e-10 relative to the center flux.
+    width by width and c by c, a rounding error bound above 1e-10
+    relative to the center flux.  The boundary matrices are products of
+    nonsingular factors (module docstring), so the solve itself cannot
+    fail.
     """
     order = 2 * len(mu)
     root_w = np.sqrt(w)
@@ -180,41 +185,25 @@ def _center_fluxes(mu, w, cs, widths):
         decay = np.exp(-width / nu)
         boundary = phi_minus * decay[:, None, :]
         boundary += phi_plus
-        # Screen: the bound clears every c of the stack when it passes both
-        # checks.  Otherwise the SVD decides.
-        bound = _condition_bound(mu, w, nu, width, decay)
-        bound *= _BOUND_MARGIN
-        if (bound <= MAX_BOUNDARY_CONDITION).all():
-            center = _solve_center(boundary, psi_particular, width, nu, w_u)
-            if (_rounding_bound(bound, psi_particular, center)
-                    <= _ROUNDING_TOL).all():
-                fluxes[:, j] = center
-                continue
-        condition = _svd_condition(boundary)
-        # One singular matrix fails a stacked solve as a whole, so solve
-        # only the c values before the first ill-conditioned system.
-        ill = _first_failure(condition <= MAX_BOUNDARY_CONDITION)
-        solved = len(cs) if ill is None else ill
-        psi = psi_particular[:solved]
-        center = _solve_center(boundary[:solved], psi, width, nu[:solved],
-                               w_u[:solved])
-        error_bound = _rounding_bound(condition[:solved], psi, center)
-        k = _first_failure(error_bound <= _ROUNDING_TOL)
-        if k is not None:
-            raise NumericalFailureError(
-                f"rounding error bound {error_bound[k]:.3e} of the center "
-                f"flux exceeds {_ROUNDING_TOL:.0e}",
-                {"error_bound": float(error_bound[k]),
-                 "condition": float(condition[k]), "order": order,
-                 "c": float(cs[k]), "width": width},
-            )
-        if ill is not None:
-            raise NumericalFailureError(
-                f"boundary system condition number {condition[ill]:.3e} "
-                f"exceeds {MAX_BOUNDARY_CONDITION:.0e}",
-                {"condition": float(condition[ill]), "order": order,
-                 "c": float(cs[ill]), "width": width},
-            )
+        center = _solve_center(boundary, psi_particular, width, nu, w_u)
+        # Screen: the scaled bound clears each c whose rounding check it
+        # passes.  The SVD decides the others.
+        condition = _condition_bound(mu, w, nu, width, decay)
+        condition *= _BOUND_MARGIN
+        error_bound = _rounding_bound(condition, psi_particular, center)
+        unclear = ~(error_bound <= _ROUNDING_TOL)
+        if unclear.any():
+            condition[unclear] = _svd_condition(boundary[unclear])
+            error_bound = _rounding_bound(condition, psi_particular, center)
+            k = _first_failure(error_bound <= _ROUNDING_TOL)
+            if k is not None:
+                raise NumericalFailureError(
+                    f"rounding error bound {error_bound[k]:.3e} of the center "
+                    f"flux exceeds {_ROUNDING_TOL:.0e}",
+                    {"error_bound": float(error_bound[k]),
+                     "condition": float(condition[k]), "order": order,
+                     "c": float(cs[k]), "width": width},
+                )
         fluxes[:, j] = center
     return fluxes
 
@@ -227,9 +216,8 @@ def solve_sn(c: float, width: float, order: int) -> float:
     Raises InvalidArgumentError for c outside [0, 1) (c >= 1 has no
     bounded particular solution), a width that is not > 0 (NaN included)
     and unsupported orders, and NumericalFailureError when an internal
-    self-check trips (a non-positive eigenvalue, an ill-conditioned
-    boundary system, or a rounding error bound above 1e-10 relative to the
-    center flux).
+    self-check trips (a non-positive eigenvalue, or a rounding error bound
+    above 1e-10 relative to the center flux).
     """
     if not 0.0 <= c < 1.0:
         raise InvalidArgumentError(f"c must be in [0, 1), got {c}")

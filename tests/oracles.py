@@ -344,7 +344,17 @@ def protected_div(a: float, b: float) -> float:
 
 
 def eval_tree(node, window, p: float) -> float:
-    """Recursive closure-safe evaluation; always returns a finite float."""
+    """Recursive closure-safe evaluation; the result is finite whenever
+    the window and p are.
+
+    Add and mul call numpy's ufuncs, which keep the first operand's NaN
+    where NaNs of both signs meet; Python's and numpy's scalar ``+`` and
+    ``*`` keep the second's.  Overflow is clamped, so it does not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _eval_node(node, window, p)
+
+
+def _eval_node(node, window, p):
     kind = node.kind
     idx = _WINDOW_INDEX.get(kind)
     if idx is not None:
@@ -354,19 +364,20 @@ def eval_tree(node, window, p: float) -> float:
     if kind == "const":
         return float(node.value)
     if kind == "d2":
-        return _guard_overflow(window[0] - 2.0 * window[1] + window[2])
+        return _guard_overflow(
+            np.add(window[0] - np.multiply(2.0, window[1]), window[2]))
     if kind == "sq":
-        a = eval_tree(node.children[0], window, p)
-        v = a * a
+        a = _eval_node(node.children[0], window, p)
+        v = np.multiply(a, a)
         return CLAMP if v > CLAMP else v
-    a = eval_tree(node.children[0], window, p)
-    b = eval_tree(node.children[1], window, p)
+    a = _eval_node(node.children[0], window, p)
+    b = _eval_node(node.children[1], window, p)
     if kind == "add":
-        return _guard_overflow(a + b)
+        return _guard_overflow(np.add(a, b))
     if kind == "sub":
         return _guard_overflow(a - b)
     if kind == "mul":
-        v = a * b
+        v = np.multiply(a, b)
         if v > CLAMP:
             return CLAMP
         if v < -CLAMP:

@@ -119,7 +119,7 @@ class TestGenerate:
                                                   monkeypatch):
         import txaccel.transport as transport_module
 
-        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 1.0)
+        monkeypatch.setattr(transport_module, "_ROUNDING_TOL", 0.0)
         assert run("generate", "--out", str(tmp_path / "x.csv"),
                    "--c-count", "2", "--widths", "1") == 4
         err = capsys.readouterr().err

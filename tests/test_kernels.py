@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -129,15 +130,25 @@ def test_extreme_windows_match_scalar_reference_bitwise():
     for text in ORDER_FORMULAS:
         assert_bitwise_rows(parse(text), windows, EXTREME_PS)
     # NaN and +-inf windows and p.  The NaNs carry the sign bit of the NaN
-    # that inf - inf or 0 * inf makes: where NaNs of both signs meet at an
-    # add or a mul, numpy keeps the first operand's and a Python float the
-    # second's, so the two would differ in any evaluation order.
+    # that inf - inf or 0 * inf makes.
     special = extreme_windows(rng, 60)
     special.flat[rng.choice(special.size, 40, replace=False)] = np.resize(
         [-np.nan, np.inf, -np.inf], 40)
     special_ps = np.concatenate((EXTREME_PS, [-np.nan, np.inf, -np.inf]))
     for text in BRANCH_FORMULAS + ORDER_FORMULAS:
         assert_bitwise_rows(parse(text), special, special_ps)
+    # NaNs of both signs: every sign pattern of four NaN terms, NaNs beside
+    # finite terms, and p = +NaN and -NaN.  Where two meet at an add or a
+    # mul, the kernel and the reference both keep the first operand's, so
+    # a kernel that swaps the operands of either shows here.
+    patterns = np.array(list(itertools.product([1.0, -1.0], repeat=4)))
+    mixed = np.concatenate((np.copysign(np.nan, patterns),
+                            extreme_windows(rng, 32)))
+    mixed[16:].flat[rng.choice(128, 48, replace=False)] = np.copysign(
+        np.nan, rng.choice([1.0, -1.0], 48))
+    mixed_ps = np.concatenate((EXTREME_PS, [np.nan, -np.nan]))
+    for text in BRANCH_FORMULAS + ORDER_FORMULAS:
+        assert_bitwise_rows(parse(text), mixed, mixed_ps)
 
 
 def signed_uniform(rng, shape, lo, hi):

@@ -152,14 +152,12 @@ class TestErrors:
             generate_grid(both)
         assert err.value.diagnostics["c"] == 0.99999
 
-    def test_rounding_failure_reported_before_later_ill_conditioned_c(
-            self, monkeypatch):
+    def test_rounding_failure_reports_the_svd_condition(self, monkeypatch):
         # At order 4 and width 10 the boundary condition number is about
-        # 1.81 for c = 0.5 and 2.01 for c = 0.9.  The first c fails only
-        # the rounding bound, the second only the condition limit.  The
-        # closed-form bound there is 3.43, so reporting it instead of the
-        # SVD value fails the last check.
-        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 1.9)
+        # 1.81 for c = 0.5 and 2.01 for c = 0.9.  Under a tolerance of 0
+        # both c fail and the first is reported.  The closed-form bound
+        # there is 3.43, so reporting it instead of the SVD value fails
+        # the last check.
         monkeypatch.setattr(transport_module, "_ROUNDING_TOL", 0.0)
         config = DatasetConfig(c_min=0.5, c_max=0.9, c_count=2,
                                widths=(10.0,), orders=(4,))
@@ -171,23 +169,23 @@ class TestErrors:
 
 def boundary_failures():
     """Message and diagnostics of each failing solve of the tests above,
-    plus one ill-conditioned system (c = 0.9 under a limit of 1.9)."""
-    limit = transport_module.MAX_BOUNDARY_CONDITION
+    the last under a rounding tolerance of 0."""
+    tol = transport_module._ROUNDING_TOL
     cases = [
-        (limit, lambda: solve_sn(0.999999, 0.05, 64)),
-        (limit, lambda: generate_grid(DatasetConfig(
+        (tol, lambda: solve_sn(0.999999, 0.05, 64)),
+        (tol, lambda: generate_grid(DatasetConfig(
             c_min=0.9999, c_max=0.999999, c_count=2, widths=(0.1, 0.02),
             orders=(4, 64)))),
-        (limit, lambda: generate_grid(DatasetConfig(
+        (tol, lambda: generate_grid(DatasetConfig(
             c_min=0.99999, c_max=0.999999, c_count=2, widths=(0.1,),
             orders=(4,)))),
-        (1.9, lambda: generate_grid(DatasetConfig(
+        (0.0, lambda: generate_grid(DatasetConfig(
             c_min=0.5, c_max=0.9, c_count=2, widths=(10.0,), orders=(4,)))),
     ]
     failures = []
-    for limit, solve in cases:
+    for tol, solve in cases:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", limit)
+            patch.setattr(transport_module, "_ROUNDING_TOL", tol)
             with pytest.raises(NumericalFailureError) as err:
                 solve()
         failures.append((str(err.value), err.value.diagnostics))
@@ -216,8 +214,8 @@ def positive_half(order):
 
 def screened_stacks(order, cs, widths):
     """nu, the eigenvectors, and each width's boundary stack and condition
-    bound, of one `_center_fluxes` call on the rule of ``order`` with both
-    checks switched off, so that the screen clears every stack."""
+    bound, of one `_center_fluxes` call on the rule of ``order`` with the
+    rounding check switched off, so that the screen clears every c."""
     eigh, solve = np.linalg.eigh, np.linalg.solve
     condition_bound = transport_module._condition_bound
     modes, stacks, bounds = [], [], []
@@ -237,7 +235,6 @@ def screened_stacks(order, cs, widths):
         return bound
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", np.inf)
         patch.setattr(transport_module, "_ROUNDING_TOL", np.inf)
         patch.setattr(transport_module.np.linalg, "eigh", recording_eigh)
         patch.setattr(transport_module.np.linalg, "solve", recording_solve)
@@ -252,7 +249,7 @@ SWEEP_WIDTHS = (0.01, 0.1, 1.0, 10.0, 100.0, np.inf)
 
 
 class TestConditionScreen:
-    """The closed-form bound clears boundary stacks without an SVD; the SVD
+    """The closed-form bound clears c values without an SVD; the SVD
     decides whatever it does not clear."""
 
     def test_default_grid_runs_no_svd(self, svd_calls, monkeypatch,
@@ -272,12 +269,24 @@ class TestConditionScreen:
     def test_margin_sends_near_limit_stacks_to_svd(self, svd_calls,
                                                    monkeypatch):
         # At order 4 and width 10, cond_2 is 1.81 and 2.01 and the bound
-        # 3.43 and 4.09: under a limit of 4.5 the bound passes, the bound
-        # times the margin of 1.25 (5.11 for c = 0.9) does not.
-        monkeypatch.setattr(transport_module, "MAX_BOUNDARY_CONDITION", 4.5)
+        # 3.43 and 4.09, giving rounding bounds of 7.7e-16 and 1.01e-15.
+        # Under a tolerance of 1.1e-15 the bound passes for both c, and the
+        # bound times the margin of 1.25 passes for c = 0.5 (9.6e-16) but
+        # not for c = 0.9 (1.26e-15), which alone goes to the SVD and
+        # passes there.
+        monkeypatch.setattr(transport_module, "_ROUNDING_TOL", 1.1e-15)
         generate_grid(DatasetConfig(c_min=0.5, c_max=0.9, c_count=2,
                                     widths=(10.0,), orders=(4,)))
-        assert svd_calls == [(2, 2, 2)]
+        assert svd_calls == [(1, 2, 2)]
+
+    def test_svd_sees_only_the_c_values_the_screen_cannot_clear(
+            self, svd_calls):
+        # The grid of the golden dataset: at N = 34 to 64 the bound clears
+        # all but one of the 7 c values of the width-0.5 stack.
+        generate_grid(DatasetConfig(c_count=7, widths=(0.5, 3.0, 30.0),
+                                    orders=tuple(range(4, 65, 2))))
+        assert len(svd_calls) == 16
+        assert all(shape[0] == 1 for shape in svd_calls), svd_calls
 
     def test_svd_on_every_stack_changes_no_result(self, svd_calls,
                                                   monkeypatch, dataset240):
@@ -301,6 +310,36 @@ class TestConditionScreen:
                                           orders=orders))
         assert np.all(seq.values == 1.0 / (1.0 - 0.999))
         assert svd_calls == []
+
+    def test_boundary_matrices_stay_far_from_singular(self):
+        # h = tanh(L / 2 nu) / nu <= 1 / mu_min, as nu >= mu_min by Weyl, so
+        # in exact arithmetic the bound is at most
+        # 4 sqrt(w_max / w_min) mu_max / mu_min (858 at N = 64) for every c
+        # and width.  Hence no separate limit on the condition number: at
+        # every order, and every c whose eigenvalue check passes, the
+        # boundary matrices stay far from singular.
+        cs = np.concatenate(([0.0, 1e-6, 0.5], 1.0 - np.geomspace(0.1, 1e-15,
+                                                                  15)))
+        widths = tuple(np.geomspace(1e-12, 1e4, 9)) + (np.inf,)
+        for order in range(transport_module.MIN_SN_ORDER,
+                           transport_module.MAX_SN_ORDER + 1, 2):
+            mu, w = positive_half(order)
+            solvable = []
+            for c in cs:
+                try:
+                    transport_module._center_fluxes(mu, w, [c], [np.inf])
+                    solvable.append(c)
+                except NumericalFailureError as exc:
+                    assert "not positive" in str(exc)
+            # Only c within 1e-12 of 1 can fail the eigenvalue check.
+            assert solvable[:15] == list(cs[:15]), order
+            # The thinnest and most nearly critical slabs have phi = 0.
+            with np.errstate(divide="ignore"):
+                _, _, stacks, bounds = screened_stacks(order, solvable,
+                                                       widths)
+            for width, stack, bound in zip(widths, stacks, bounds):
+                assert np.linalg.cond(stack).max() < 100.0, (order, width)
+                assert bound.max() < 2e3, (order, width)
 
     @pytest.mark.parametrize("n", range(2, 33))
     def test_frobenius_bound_exceeds_2_norm_condition(self, n):
